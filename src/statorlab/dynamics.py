@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, TimeStepError
 from .grids import DisplacementField
-from .modal import ModalBasis, Mode
+from .modal import ModalBasis, Mode, radial_shapes
 
 ENVELOPE_BOUND_SLACK = 1e-9
 
@@ -266,7 +266,7 @@ def calibrate_force_per_volt(basis: ModalBasis, drive: DriveConfig,
 def _mode_shapes_on(basis: ModalBasis, r: np.ndarray, theta: np.ndarray
                     ) -> np.ndarray:
     """Stack of mode shapes evaluated at flat (r, theta) arrays."""
-    return np.stack([m.radial(r) * m.angular(theta) for m in basis])
+    return radial_shapes(basis.modes, r) * np.stack([m.angular(theta) for m in basis])
 
 
 def field_at(basis: ModalBasis, trajectory: ModalTrajectory, t: float,
@@ -356,8 +356,7 @@ def probe(basis: ModalBasis, trajectory: ModalTrajectory, points,
         if not 0.0 <= r <= rim * (1 + 1e-12):
             raise DomainError(
                 f"probe point r={r} outside the stator (rim {rim:.6g} m)")
-        shapes = np.array([float(m.radial(r)) * float(m.angular(th))
-                           for m in basis])
+        shapes = radial_shapes(basis.modes, r) * np.array([m.angular(th) for m in basis])
         u = shapes @ trajectory.q           # complex series
         steady = abs(complex(shapes @ trajectory.steady))
         env = np.abs(u)

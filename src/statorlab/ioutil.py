@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import os
+import tempfile
 
 import numpy as np
 
@@ -19,15 +20,30 @@ from .errors import DomainError
 
 FIELD_MAGIC = "statorlab-field 1"
 
+# os.umask can only be read by setting it, which would race with file
+# creation in other threads if done per write, so it is read once here
+_UMASK = os.umask(0)
+os.umask(_UMASK)
+
 
 def atomic_write_bytes(path, data: bytes):
+    """Write ``data`` to ``path`` through a unique temp file and a rename.
+
+    Concurrent writers each get their own temp file, so the last rename
+    wins whole; the file gets the mode a plain ``open`` would give it.
+    """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".", dir=directory)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.chmod(tmp, 0o666 & ~_UMASK)     # mkstemp creates files 0600
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def atomic_write_text(path, text: str):

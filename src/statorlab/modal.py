@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import hashlib
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 from scipy.linalg import LinAlgError, cholesky, eigh, solve
 
 from .errors import DiscretizationError, DomainError, NumericalError
@@ -77,8 +76,13 @@ def _active_mesh(plate: EffectivePlate, disc: Discretization) -> np.ndarray:
     return np.concatenate(pieces + [[b]])
 
 
-def _hermite(xi: np.ndarray, h: float):
-    """Cubic Hermite shape functions on one element, derivatives wrt r."""
+def _hermite(xi: np.ndarray, h: np.ndarray | float):
+    """Cubic Hermite shape functions, derivatives wrt r.
+
+    ``xi`` is the position inside an element of length ``h``, a scalar or
+    an array that broadcasts to ``xi``'s shape; each output stacks the four
+    shape functions (W1, W1', W2, W2') on a new leading axis.
+    """
     xi2, xi3 = xi * xi, xi * xi * xi
     N = np.stack([1.0 - 3.0 * xi2 + 2.0 * xi3,
                   h * (xi - 2.0 * xi2 + xi3),
@@ -88,49 +92,55 @@ def _hermite(xi: np.ndarray, h: float):
                    1.0 - 4.0 * xi + 3.0 * xi2,
                    (6.0 * xi - 6.0 * xi2) / h,
                    3.0 * xi2 - 2.0 * xi])
-    d2N = np.stack([(12.0 * xi - 6.0) / h**2,
+    # float_power squares through libm pow() like a numpy scalar does; an
+    # array square can differ in the last bit and move the eigen gate
+    d2N = np.stack([(12.0 * xi - 6.0) / np.float_power(h, 2),
                     (6.0 * xi - 4.0) / h,
-                    (6.0 - 12.0 * xi) / h**2,
+                    (6.0 - 12.0 * xi) / np.float_power(h, 2),
                     (6.0 * xi - 2.0) / h])
     return N, dN, d2N
 
 
 def _assemble_full(plate: EffectivePlate, n: int, disc: Discretization):
-    """Assemble (K, M, nodes) on the active domain, clamp not yet applied."""
+    """Assemble (K, M, nodes) on the active domain, clamp not yet applied.
+
+    Every element is evaluated at once; the Gauss points are summed one
+    at a time in ascending order, so each entry sees the same rounding as
+    an element-by-element loop.
+    """
     nodes = _active_mesh(plate, disc)
     ndof = 2 * nodes.size
-    K = np.zeros((ndof, ndof))
-    M = np.zeros((ndof, ndof))
     xi_q, w_q = np.polynomial.legendre.leggauss(disc.quadrature_order)
     xi_q = 0.5 * (xi_q + 1.0)          # map to [0, 1]
     w_q = 0.5 * w_q
     nu = plate.poisson_ratio
     cn = harmonic_weight(n)
 
-    for e in range(nodes.size - 1):
-        r1, r2 = nodes[e], nodes[e + 1]
-        h = r2 - r1
-        N, dN, d2N = _hermite(xi_q, h)
-        r = r1 + xi_q * h
-        D = plate.D(0.5 * (r1 + r2)) * np.ones_like(r)
-        mu = plate.mu(0.5 * (r1 + r2)) * np.ones_like(r)
-        Ke = np.zeros((4, 4))
-        Me = np.zeros((4, 4))
-        for q in range(xi_q.size):
-            rq = r[q]
-            lap = d2N[:, q] + dN[:, q] / rq - (n * n) * N[:, q] / rq**2
-            curv_r = d2N[:, q]
-            curv_t = dN[:, q] / rq - (n * n) * N[:, q] / rq**2
-            twist = dN[:, q] / rq - N[:, q] / rq**2
-            Ke += (w_q[q] * h * rq * D[q]) * (
-                np.outer(lap, lap)
-                - (1.0 - nu) * (np.outer(curv_r, curv_t) + np.outer(curv_t, curv_r))
-                + 2.0 * (1.0 - nu) * n * n * np.outer(twist, twist))
-            Me += (w_q[q] * h * rq * mu[q]) * np.outer(N[:, q], N[:, q])
-        sl = slice(2 * e, 2 * e + 4)
-        K[sl, sl] += cn * Ke
-        M[sl, sl] += cn * Me
+    h = np.diff(nodes)[:, None]        # (element, 1)
+    r = nodes[:-1, None] + xi_q * h    # (element, Gauss point)
+    # (shape function, element, Gauss point); x[:, None] * y below is the
+    # outer product over the shape functions
+    N, dN, d2N = _hermite(np.broadcast_to(xi_q, r.shape), h)
+    r2 = np.float_power(r, 2)          # pow(), as in _hermite
+    lap = d2N + dN / r - (n * n) * N / r2
+    curv_t = dN / r - (n * n) * N / r2
+    twist = dN / r - N / r2
+    # each element lies inside one region, so D and mu at its Gauss points
+    # are the element's constants
+    stiff = (w_q * h * r * plate.D(r)) * (
+        lap[:, None] * lap
+        - (1.0 - nu) * (d2N[:, None] * curv_t + curv_t[:, None] * d2N)
+        + 2.0 * (1.0 - nu) * n * n * (twist[:, None] * twist))
+    mass = (w_q * h * r * plate.mu(r)) * (N[:, None] * N)
+    # sum() adds the Gauss points one at a time in ascending order
+    Ke = sum(stiff[..., q] for q in range(xi_q.size))
+    Me = sum(mass[..., q] for q in range(xi_q.size))
 
+    dofs = np.arange(4)[:, None] + 2 * np.arange(nodes.size - 1)   # (4, element)
+    K = np.zeros((ndof, ndof))
+    M = np.zeros((ndof, ndof))
+    np.add.at(K, (dofs[:, None], dofs), cn * Ke)
+    np.add.at(M, (dofs[:, None], dofs), cn * Me)
     return K, M, nodes
 
 
@@ -159,6 +169,34 @@ def assemble(plate: EffectivePlate, n: int, disc: Discretization | None = None):
     return K, M
 
 
+def radial_shapes(modes, r) -> np.ndarray:
+    """W(r) of each mode at the radii ``r``, stacked on a new leading axis.
+
+    Each radius is located on the mesh by ``searchsorted`` and its Hermite
+    values are computed once per mesh; a radial profile shared by several
+    modes (a cos/sin pair) is interpolated once.  W is zero inside the
+    clamped center and continues the last element's cubic past the rim.
+    """
+    r = np.asarray(r, dtype=float)
+    out = np.empty((len(modes),) + r.shape)
+    located, profiles = {}, {}
+    for k, m in enumerate(modes):
+        nodes, v, s = m.radial_nodes, m.radial_values, m.radial_slopes
+        mesh = nodes.tobytes()
+        if mesh not in located:
+            # element index; radii past either end use the end element
+            e = np.searchsorted(nodes[1:-1], r, side="right")
+            h = nodes[e + 1] - nodes[e]
+            located[mesh] = (e, _hermite((r - nodes[e]) / h, h)[0], r < nodes[0])
+        key = (mesh, v.tobytes(), s.tobytes())
+        if key not in profiles:
+            e, N, clamped = located[mesh]
+            W = N[0] * v[e] + N[1] * s[e] + N[2] * v[e + 1] + N[3] * s[e + 1]
+            profiles[key] = np.where(clamped, 0.0, W)
+        out[k] = profiles[key]
+    return out
+
+
 @dataclass(frozen=True)
 class Mode:
     """One mass-normalized eigenmode of the plate.
@@ -166,9 +204,11 @@ class Mode:
     The full shape is ``W(r) * cos(n theta)`` or ``W(r) * sin(n theta)``;
     ``radial_nodes``/``radial_values``/``radial_slopes`` tabulate W and
     dW/dr on the solver mesh (the plate is motionless for r below the
-    fixture radius).  ``angular_leak`` optionally admixes foreign harmonics
-    ``(m, weight)`` into the angular pattern, the hook used to emulate a
-    manufacturing-defect asymmetry; it is not produced by the solver.
+    fixture radius).  Between nodes W is evaluated with the solver's own
+    Hermite cubics (see ``radial_shapes``).  ``angular_leak`` optionally
+    admixes foreign harmonics ``(m, weight)`` into the angular pattern, the
+    hook used to emulate a manufacturing-defect asymmetry; it is not
+    produced by the solver.
     """
 
     n: int
@@ -180,7 +220,6 @@ class Mode:
     boundary: str = "clamped-at-fixture/free-at-edges"
     family: int = 0                # radial family index (0 = lowest)
     angular_leak: tuple = ()
-    _spline: CubicHermiteSpline | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.orientation not in ("cos", "sin"):
@@ -188,8 +227,6 @@ class Mode:
         if self.frequency <= 0.0:
             raise NumericalError(
                 f"non-positive eigenfrequency {self.frequency} Hz retained", harmonic=self.n)
-        object.__setattr__(self, "_spline", CubicHermiteSpline(
-            self.radial_nodes, self.radial_values, self.radial_slopes))
 
     @property
     def omega(self) -> float:
@@ -205,9 +242,7 @@ class Mode:
 
     def radial(self, r):
         """W(r), zero inside the clamped center."""
-        r = np.asarray(r, dtype=float)
-        out = np.where(r < self.radial_nodes[0], 0.0, self._spline(np.clip(r, self.radial_nodes[0], None)))
-        return out
+        return radial_shapes((self,), r)[0]
 
     def angular(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -220,15 +255,9 @@ class Mode:
     def radial_moment(self) -> float:
         """Int W(r) r dr over the active annulus (exact per-element Gauss)."""
         xi, w = np.polynomial.legendre.leggauss(3)   # degree-4 integrand
-        xi = 0.5 * (xi + 1.0)
-        w = 0.5 * w
-        total = 0.0
-        for e in range(self.radial_nodes.size - 1):
-            r1, r2 = self.radial_nodes[e], self.radial_nodes[e + 1]
-            h = r2 - r1
-            r = r1 + xi * h
-            total += h * np.sum(w * self._spline(r) * r)
-        return float(total)
+        h = np.diff(self.radial_nodes)[:, None]
+        r = self.radial_nodes[:-1, None] + 0.5 * (xi + 1.0) * h
+        return float(np.sum(0.5 * w * h * self.radial(r) * r))
 
 
 def mode_shape_eval(mode: Mode, r, theta):
@@ -238,8 +267,8 @@ def mode_shape_eval(mode: Mode, r, theta):
     where the shape is zero).
     """
     r_arr = np.asarray(r, dtype=float)
-    # inner bound: fixture mesh start is inside the physical annulus, use the
-    # plate inner bore when known (motionless web), else the mesh start
+    # any radius from 0 to the rim is accepted: below the fixture radius
+    # (the mesh start) the shape is zero, so the bore is not checked
     if np.any(r_arr > mode.outer_radius * (1 + 1e-12)) or np.any(r_arr < 0.0):
         raise DomainError(
             f"radius outside the stator annulus (outer {mode.outer_radius:.6g} m)")
@@ -326,7 +355,7 @@ class ModalBasis:
                 if m.orientation == "sin" and frequency_split:
                     changes["frequency"] = m.frequency * (1.0 + frequency_split)
                 if changes:
-                    m = _replace_mode(m, **changes)
+                    m = replace(m, **changes)
             new.append(m)
         new.sort(key=lambda md: (md.frequency, md.n, md.orientation))
         return ModalBasis(tuple(new), self.discretization, self.provenance + "+defect",
@@ -378,15 +407,6 @@ def _polish_eigenpair(K: np.ndarray, M: np.ndarray, lam: float, w: np.ndarray):
         if score < 0.5 * EIG_RESIDUAL_TOL:
             break
     return best[1], best[2]
-
-
-def _replace_mode(mode: Mode, **changes) -> Mode:
-    fields = dict(n=mode.n, orientation=mode.orientation, frequency=mode.frequency,
-                  radial_nodes=mode.radial_nodes, radial_values=mode.radial_values,
-                  radial_slopes=mode.radial_slopes, boundary=mode.boundary,
-                  family=mode.family, angular_leak=mode.angular_leak)
-    fields.update(changes)
-    return Mode(**fields)
 
 
 def solve_modes(plate: EffectivePlate, n_max: int, modes_per_n: int = 1,

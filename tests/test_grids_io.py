@@ -1,3 +1,7 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -184,3 +188,40 @@ def test_writers_are_deterministic(tmp_path):
     ioutil.write_csv(a, ("x", "id"), rows)
     ioutil.write_csv(b, ("x", "id"), rows)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_atomic_write_concurrent_writers(tmp_path):
+    # each writer needs its own temp file: with a shared one, a rename by
+    # one writer pulls the file from under another writer's rename
+    path = tmp_path / "shared.bin"
+    payloads = [bytes([i]) * 100_000 for i in range(4)]
+    errors = []
+
+    def writer(payload):
+        try:
+            for _ in range(30):
+                ioutil.atomic_write_bytes(path, payload)
+        except Exception as exc:        # recorded, asserted below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=writer, args=(p,)) for p in payloads]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert path.read_bytes() in payloads
+    assert os.listdir(tmp_path) == ["shared.bin"]
+
+
+def test_atomic_write_gives_the_mode_of_a_plain_open(tmp_path):
+    plain = tmp_path / "plain.txt"
+    plain.write_bytes(b"x")
+    ioutil.atomic_write_bytes(tmp_path / "atomic.txt", b"x")
+    assert (tmp_path / "atomic.txt").stat().st_mode == plain.stat().st_mode
