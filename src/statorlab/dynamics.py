@@ -11,10 +11,10 @@ is carried as a complex analytic amplitude
     q_k(t) = Q_k e^{i w t} + C_k e^{(-alpha_k + i wd_k) t}
 
 whose real part is the physical displacement and whose magnitude is the
-instantaneous envelope.  Time stepping multiplies the transient part by
-one fixed complex factor per step (the exact discrete solution of the
-oscillator), so there is no step-size stability limit and linearity in
-the drive voltage is bit-exact.
+instantaneous envelope.  This closed form is evaluated directly at every
+sample and at any instant in the span, so there is no time stepping, no
+step-size stability limit, and linearity in the drive voltage is
+bit-exact.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ class DriveConfig:
 
 
 def _mode_constants(basis: ModalBasis, drive: DriveConfig):
-    """Per-mode (w0, zeta, alpha, wd, Q, C) with from-rest initial data."""
+    """Per-mode (alpha, wd, Q, C) with from-rest initial data."""
     w = drive.omega
     w0 = np.array([m.omega for m in basis])
     zeta = np.array([basis.damping_for(m.n) for m in basis])
@@ -109,7 +109,7 @@ def _mode_constants(basis: ModalBasis, drive: DriveConfig):
     c_r = -Q.real
     c_i = (-w * Q.imag + alpha * Q.real) / wd
     C = c_r + 1.0j * c_i
-    return w0, zeta, alpha, wd, Q, C
+    return alpha, wd, Q, C
 
 
 @dataclass(frozen=True)
@@ -121,8 +121,8 @@ class ModalTrajectory:
     steady: np.ndarray           # complex steady-state phasor per mode
     basis: ModalBasis
     drive: DriveConfig
-    alpha: np.ndarray = field(repr=False, default=None)
-    wd: np.ndarray = field(repr=False, default=None)
+    alpha: np.ndarray = field(repr=False)
+    wd: np.ndarray = field(repr=False)
 
     @property
     def dt(self) -> float:
@@ -155,25 +155,21 @@ class ModalTrajectory:
             raise DomainError(
                 f"time {t} outside trajectory span "
                 f"[{self.times[0]}, {self.times[-1]}]")
-        i = min(int(np.searchsorted(self.times, t, side="right")) - 1,
-                self.times.size - 1)
-        delta = t - self.times[i]
-        w = self.drive.omega
-        steady_i = self.steady * np.exp(1.0j * w * self.times[i])
-        prop = np.exp((-self.alpha + 1.0j * self.wd) * delta)
-        return (self.q[:, i] - steady_i) * prop + self.steady * np.exp(1.0j * w * t)
+        transient = self.q[:, 0] - self.steady
+        return (self.steady * np.exp(1.0j * self.drive.omega * t)
+                + transient * np.exp((-self.alpha + 1.0j * self.wd) * t))
 
 
 def respond(basis: ModalBasis, drive: DriveConfig, duration: float,
             dt: float | None = None, initial: np.ndarray | None = None
             ) -> ModalTrajectory:
-    """Integrate every retained mode through ``duration`` seconds.
+    """Sample every retained mode through ``duration`` seconds.
 
-    Per step the transient (state minus steady phasor) is multiplied by
-    exp((-alpha + i wd) dt) -- the exact propagator -- so accuracy is
-    independent of dt; dt only sets the output sampling.  The classic-FEM
-    accuracy guard dt <= 1/(20 f_max) is still enforced so downstream
-    envelope and crest measurements stay well sampled.
+    The closed form Q e^{i w t} + C e^{(-alpha + i wd) t} is evaluated at
+    every sample in one array expression, so accuracy is independent of
+    dt; dt only sets the output sampling.  The classic-FEM accuracy guard
+    dt <= 1/(20 f_max) is still enforced so downstream envelope and crest
+    measurements stay well sampled.
 
     ``initial`` optionally sets the starting complex modal state (default
     is from rest); useful for free-decay studies with force_per_volt = 0.
@@ -197,23 +193,16 @@ def respond(basis: ModalBasis, drive: DriveConfig, duration: float,
             f"duration {duration:.3e} s must cover at least 5 steps of "
             f"dt = {dt:.3e} s")
 
-    w0, zeta, alpha, wd, Q, C = _mode_constants(basis, drive)
-    n_steps = int(round(duration / dt))
-    times = dt * np.arange(n_steps + 1)
-    w = drive.omega
-    E = np.exp(1.0j * w * times)
-    prop = np.exp((-alpha + 1.0j * wd) * dt)
-
-    q = np.empty((len(basis), times.size), dtype=complex)
-    q[:, 0] = (Q + C) if initial is None else np.asarray(initial, dtype=complex)
-    for i in range(n_steps):
-        q[:, i + 1] = (q[:, i] - Q * E[i]) * prop + Q * E[i + 1]
+    alpha, wd, Q, C = _mode_constants(basis, drive)
+    if initial is not None:
+        C = np.asarray(initial, dtype=complex) - Q
+    times = dt * np.arange(int(round(duration / dt)) + 1)
+    E = np.exp(1.0j * drive.omega * times)
+    q = Q[:, None] * E + C[:, None] * np.exp(np.outer(-alpha + 1.0j * wd, times))
 
     # |q| <= |Q| + |C| e^{-alpha t}: any excursion past that is a bug
-    start = q[:, 0] - Q
-    cap = np.abs(Q) + np.abs(np.where(initial is None, C, start))
-    peak = np.abs(q).max(axis=1)
-    if np.any(peak > cap * (1.0 + ENVELOPE_BOUND_SLACK) + 1e-300):
+    cap = np.abs(Q) + np.abs(C)
+    if np.any(np.abs(q).max(axis=1) > cap * (1.0 + ENVELOPE_BOUND_SLACK) + 1e-300):
         raise NumericalError("modal amplitude exceeded its analytic bound")
     return ModalTrajectory(times=times, q=q, steady=Q, basis=basis,
                            drive=drive, alpha=alpha, wd=wd)
@@ -269,17 +258,21 @@ def _mode_shapes_on(basis: ModalBasis, r: np.ndarray, theta: np.ndarray
     return radial_shapes(basis.modes, r) * np.stack([m.angular(theta) for m in basis])
 
 
+def _render(basis: ModalBasis, grid, state: np.ndarray) -> np.ndarray:
+    """sum_k state_k Phi_k on the grid; off-annulus samples stay zero."""
+    values = np.zeros(grid.shape, dtype=state.dtype)
+    mask = grid.mask
+    values[mask] = state @ _mode_shapes_on(basis, grid.r[mask], grid.theta[mask])
+    return values
+
+
 def field_at(basis: ModalBasis, trajectory: ModalTrajectory, t: float,
              grid) -> DisplacementField:
     """Instantaneous displacement field: sum_k Re[q_k(t)] Phi_k.
 
     Off-annulus samples are left at zero and flagged by the grid mask.
     """
-    state = trajectory.state_at(t)
-    values = np.zeros(grid.shape)
-    mask = grid.mask
-    shapes = _mode_shapes_on(basis, grid.r[mask], grid.theta[mask])
-    values[mask] = state.real @ shapes
+    values = _render(basis, grid, trajectory.state_at(t).real)
     return DisplacementField(grid, values, time=t, label=f"t={t:.9e}s")
 
 
@@ -291,10 +284,7 @@ def field_envelope(basis: ModalBasis, trajectory: ModalTrajectory,
     included); with ``t = None``, the analytic steady state.
     """
     state = trajectory.steady if t is None else trajectory.state_at(t)
-    values = np.zeros(grid.shape)
-    mask = grid.mask
-    shapes = _mode_shapes_on(basis, grid.r[mask], grid.theta[mask])
-    values[mask] = np.abs(state @ shapes.astype(complex))
+    values = np.abs(_render(basis, grid, state))
     label = "steady envelope" if t is None else f"envelope t={t:.9e}s"
     return DisplacementField(grid, values, time=(trajectory.times[-1] if t is None else t),
                              label=label)
@@ -322,11 +312,12 @@ def snapshot_at_strobe(basis: ModalBasis, trajectory: ModalTrajectory,
         fld = field_at(basis, trajectory, t, grid)
         return DisplacementField(grid, fld.values, time=t,
                                  label=f"strobe {strobe_deg:g}deg")
+    # the field is linear in the state: average the window's states and
+    # render once
     offsets = (np.arange(subsamples) + 0.5) / subsamples - 0.5
-    acc = np.zeros(grid.shape)
-    for dt_frac in offsets:
-        acc += field_at(basis, trajectory, t + dt_frac * duty * T, grid).values
-    return DisplacementField(grid, acc / subsamples, time=t,
+    state = np.mean([trajectory.state_at(t + f * duty * T).real
+                     for f in offsets], axis=0)
+    return DisplacementField(grid, _render(basis, grid, state), time=t,
                              label=f"strobe {strobe_deg:g}deg duty={duty:g}")
 
 

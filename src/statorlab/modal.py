@@ -76,18 +76,28 @@ def _active_mesh(plate: EffectivePlate, disc: Discretization) -> np.ndarray:
     return np.concatenate(pieces + [[b]])
 
 
+def _hermite_values(xi: np.ndarray, h: np.ndarray | float) -> np.ndarray:
+    """The four cubic Hermite shape functions (W1, W1', W2, W2') at ``xi``.
+
+    ``xi`` is the position inside an element of length ``h``, a scalar or
+    an array that broadcasts to ``xi``'s shape; the functions are stacked
+    on a new leading axis.
+    """
+    xi2, xi3 = xi * xi, xi * xi * xi
+    return np.stack([1.0 - 3.0 * xi2 + 2.0 * xi3,
+                     h * (xi - 2.0 * xi2 + xi3),
+                     3.0 * xi2 - 2.0 * xi3,
+                     h * (xi3 - xi2)])
+
+
 def _hermite(xi: np.ndarray, h: np.ndarray | float):
     """Cubic Hermite shape functions, derivatives wrt r.
 
-    ``xi`` is the position inside an element of length ``h``, a scalar or
-    an array that broadcasts to ``xi``'s shape; each output stacks the four
-    shape functions (W1, W1', W2, W2') on a new leading axis.
+    Returns ``_hermite_values`` and its first and second derivatives with
+    respect to r, each stacked the same way.
     """
-    xi2, xi3 = xi * xi, xi * xi * xi
-    N = np.stack([1.0 - 3.0 * xi2 + 2.0 * xi3,
-                  h * (xi - 2.0 * xi2 + xi3),
-                  3.0 * xi2 - 2.0 * xi3,
-                  h * (xi3 - xi2)])
+    N = _hermite_values(xi, h)
+    xi2 = xi * xi
     dN = np.stack([(6.0 * xi2 - 6.0 * xi) / h,
                    1.0 - 4.0 * xi + 3.0 * xi2,
                    (6.0 * xi - 6.0 * xi2) / h,
@@ -187,7 +197,7 @@ def radial_shapes(modes, r) -> np.ndarray:
             # element index; radii past either end use the end element
             e = np.searchsorted(nodes[1:-1], r, side="right")
             h = nodes[e + 1] - nodes[e]
-            located[mesh] = (e, _hermite((r - nodes[e]) / h, h)[0], r < nodes[0])
+            located[mesh] = (e, _hermite_values((r - nodes[e]) / h, h), r < nodes[0])
         key = (mesh, v.tobytes(), s.tobytes())
         if key not in profiles:
             e, N, clamped = located[mesh]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from statorlab.dynamics import (DriveConfig, ExternalMode,
+from statorlab.dynamics import (DriveConfig, ExternalMode, _mode_constants,
                                 calibrate_force_per_volt, field_at,
                                 field_envelope, lateral_mode_proxy,
                                 lorentzian_weight, mixed_response, probe,
@@ -132,6 +132,41 @@ def test_free_decay_is_exact_exponential(basis):
     assert np.allclose(ratio, expected, rtol=1e-12, atol=0)
 
 
+def _stepped(basis, drive, times, initial=None):
+    """Reference: the exact one-step recurrence on the transient part.
+
+    Each step multiplies (state - steady phasor) by exp((-alpha + i wd) dt),
+    the sampled form of the same oscillator solution.
+    """
+    alpha, wd, Q, C = _mode_constants(basis, drive)
+    E = np.exp(1j * drive.omega * times)
+    prop = np.exp((-alpha + 1j * wd) * (times[1] - times[0]))
+    q = np.empty((len(basis), times.size), dtype=complex)
+    q[:, 0] = Q + C if initial is None else initial
+    for i in range(times.size - 1):
+        q[:, i + 1] = (q[:, i] - Q * E[i]) * prop + Q * E[i + 1]
+    return q
+
+
+@pytest.mark.parametrize("duration", [4e-3, 8e-3, 16e-3])
+@pytest.mark.parametrize("n", [1, 4, 7])
+def test_closed_form_matches_step_recurrence(basis, n, duration):
+    drive = DriveConfig(drive_frequency=basis.frequency_for(n),
+                        electrode_harmonic=n)
+    traj = respond(basis, drive, duration=duration)
+    ref = _stepped(basis, drive, traj.times)
+    assert np.max(np.abs(traj.q - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_closed_form_from_initial_state_matches_step_recurrence(basis, drive):
+    rng = np.random.default_rng(11)
+    start = 1e-9 * (rng.standard_normal(len(basis))
+                    + 1j * rng.standard_normal(len(basis)))
+    traj = respond(basis, drive, duration=4e-3, initial=start)
+    ref = _stepped(basis, drive, traj.times, initial=start)
+    assert np.max(np.abs(traj.q - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_time_step_guards(basis, drive):
     f_max = max(m.frequency for m in basis)
     bound = 1.0 / (20.0 * f_max)
@@ -236,6 +271,18 @@ def test_snapshot_at_strobe(basis, traj):
     assert blurred.peak() < snap.peak()
     with pytest.raises(DomainError):
         snapshot_at_strobe(basis, traj, ring, 0.0, duty=0.5)
+
+
+def test_finite_strobe_equals_mean_of_instant_renders(basis, traj):
+    ring = RingGrid(radius=15e-3, count=64)
+    snap = snapshot_at_strobe(basis, traj, ring, 90.0, duty=0.2, subsamples=8)
+    T = traj.drive.period
+    t = traj.times[-1] - 2 * T + 0.25 * T
+    offsets = (np.arange(8) + 0.5) / 8 - 0.5
+    mean = np.mean([field_at(basis, traj, t + f * 0.2 * T, ring).values
+                    for f in offsets], axis=0)
+    assert snap.time == t
+    assert np.max(np.abs(snap.values - mean)) <= 1e-14 * np.max(np.abs(mean))
 
 
 def test_snapshot_needs_two_cycles(basis, drive):
