@@ -193,8 +193,10 @@ def track_strobe_phase(fits, cv_threshold: float = 0.05,
     a sinusoid in twice the strobe phase.  Anything else is mixed.
     """
     fits = sorted(fits, key=lambda item: item[0])
-    if len(fits) < 3:
-        raise SamplingError(f"need at least 3 strobe phases, got {len(fits)}")
+    distinct = len({deg for deg, _ in fits})
+    if distinct < 3:
+        raise SamplingError(
+            f"need at least 3 distinct strobe phases, got {distinct}")
     ns = {f.n for _, f in fits}
     if len(ns) != 1:
         raise DomainError(f"fits mix harmonics {sorted(ns)}")

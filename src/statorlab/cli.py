@@ -8,9 +8,14 @@ Subcommands mirror the pipeline stages:
 * ``fit``      run the circle-sampling fit pipeline across strobe phases
 * ``report``   compare computed frequencies against the embedded reference
 
-Exit codes: 0 success, 2 configuration error, 3 numerical/domain error.
-The output directory comes from the config, overridable by ``--out`` or
-the ``STATORLAB_OUT`` environment variable.
+Every stage solves the basis the same way; ``respond``, ``fringes`` and
+``fit`` then share one driven-run setup (drive resolution and the modal
+trajectory) that finishes before any file is written.
+
+Exit codes: 0 success, 2 configuration error (inconsistent geometry or
+material included), 3 numerical/domain error.  The output directory
+comes from the config, overridable by ``--out`` or the ``STATORLAB_OUT``
+environment variable.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -39,10 +45,9 @@ def _merge_config(args) -> dict:
     if args.config:
         cfg = deep_merge(cfg, load_config(args.config))
     cfg = apply_overrides(cfg, args.set or [])
-    if args.out:
-        cfg.setdefault("output", {})["directory"] = args.out
-    elif os.environ.get("STATORLAB_OUT"):
-        cfg.setdefault("output", {})["directory"] = os.environ["STATORLAB_OUT"]
+    out = args.out or os.environ.get("STATORLAB_OUT")
+    if out:
+        cfg.setdefault("output", {})["directory"] = out
     return cfg
 
 
@@ -50,19 +55,19 @@ def _solve_basis(plan):
     plate = homogenize(plan["geometry"], plan["material"])
     modal = plan["modal"]
     if modal["calibrate"]:
-        result = calibrate(
+        plate = calibrate(
             plate, target=(modal["calibration_target_n"],
                            modal["calibration_target_hz"]),
-            disc=modal["discretization"])
-        plate = result.plate
-    basis = solve_modes(plate, n_max=modal["n_max"], n_min=modal["n_min"],
-                        modes_per_n=modal["modes_per_n"],
-                        disc=modal["discretization"])
-    return plate, basis
+            disc=modal["discretization"]).plate
+    return solve_modes(plate, n_max=modal["n_max"], n_min=modal["n_min"],
+                       modes_per_n=modal["modes_per_n"],
+                       disc=modal["discretization"])
 
 
-def _resolve_drive(plan, basis):
-    """Fill the 'resonance'/'auto' placeholders from the solved basis."""
+def _driven_run(plan):
+    """Solve the basis, fill the 'resonance'/'auto'/'settling-target'
+    placeholders from it and drive it; returns (basis, drive, trajectory)."""
+    basis = _solve_basis(plan)
     spec = plan["drive"]
     n_d = spec["electrode_harmonic"]
     freq = spec["drive_frequency"]
@@ -70,11 +75,10 @@ def _resolve_drive(plan, basis):
         freq = basis.frequency_for(n_d)
     damping = spec["damping"]
     if damping == "settling-target":
-        zeta = settling_damping_ratio(
+        damping = settling_damping_ratio(
             plan["analysis"]["settling_time_target"], freq,
             band=plan["analysis"]["settling_band"])
-        basis = basis.with_damping(zeta)
-    elif isinstance(damping, float):
+    if damping != "material":
         basis = basis.with_damping(damping)
     drive = DriveConfig(
         drive_frequency=freq,
@@ -87,10 +91,10 @@ def _resolve_drive(plan, basis):
         fpv = calibrate_force_per_volt(
             basis, drive, target_amplitude=spec["target_edge_amplitude"],
             radius=plan["geometry"].outer_radius)
-    import dataclasses
-    drive = dataclasses.replace(drive, force_per_volt=fpv)
-    dt = None if spec["dt"] == "auto" else spec["dt"]
-    return basis, drive, dt
+    drive = replace(drive, force_per_volt=fpv)
+    traj = respond(basis, drive, duration=spec["duration"],
+                   dt=None if spec["dt"] == "auto" else spec["dt"])
+    return basis, drive, traj
 
 
 def _optics(plan) -> OpticalConfig:
@@ -106,8 +110,21 @@ def _outpath(plan, name: str) -> str:
     return os.path.join(plan["output_dir"], name)
 
 
+def _write_and_print(plan, name: str, text: str) -> None:
+    ioutil.atomic_write_text(_outpath(plan, name), text)
+    print(text, end="")
+
+
+def _strobe_pair(basis, traj, grid, optics, a_deg, b_deg, rng):
+    """Stroboscopic phase map between the strobe instants a_deg and b_deg."""
+    return holography.stroboscopic(
+        snapshot_at_strobe(basis, traj, grid, a_deg),
+        snapshot_at_strobe(basis, traj, grid, b_deg),
+        optics, strobe_phases=(a_deg, b_deg), rng=rng)
+
+
 def cmd_modes(plan) -> int:
-    _, basis = _solve_basis(plan)
+    basis = _solve_basis(plan)
     rows = [(m.n, m.orientation, m.family, m.frequency) for m in basis]
     ioutil.write_csv(_outpath(plan, "modes.csv"),
                      ("n", "orientation", "family", "frequency_hz"), rows)
@@ -121,9 +138,7 @@ def cmd_modes(plan) -> int:
 
 
 def cmd_respond(plan) -> int:
-    _, basis0 = _solve_basis(plan)
-    basis, drive, dt = _resolve_drive(plan, basis0)
-    traj = respond(basis, drive, duration=plan["drive"]["duration"], dt=dt)
+    basis, drive, traj = _driven_run(plan)
     ana = plan["analysis"]
     points = [(r, ana["probe_theta"]) for r in ana["probe_radii"]]
     series = probe(basis, traj, points, band=ana["settling_band"])
@@ -151,31 +166,26 @@ def cmd_respond(plan) -> int:
         lines.append(
             f"point {pid} (r={s.point[0] * 1e3:.2f} mm, theta={s.point[1]:.3f} "
             f"rad): steady {s.steady_amplitude * 1e9:.2f} nm, settling {settle}")
-    ioutil.atomic_write_text(_outpath(plan, "settling.txt"),
-                             "\n".join(lines) + "\n")
-    print("\n".join(lines))
+    _write_and_print(plan, "settling.txt", "\n".join(lines) + "\n")
     return 0
 
 
 def cmd_fringes(plan) -> int:
-    _, basis0 = _solve_basis(plan)
-    basis, drive, dt = _resolve_drive(plan, basis0)
+    basis, drive, traj = _driven_run(plan)
     optics = _optics(plan)
     grid = RasterGrid(inner_radius=plan["geometry"].inner_radius,
                       outer_radius=plan["geometry"].outer_radius,
                       pixels=plan["image"]["pixels"],
                       margin=plan["image"]["margin"])
-    rng = np.random.default_rng(plan["seed"])
 
     # one time-averaged image per harmonic, each driven at its own resonance
-    import dataclasses
     written = []
+    dt_n = 1.0 / (40.0 * max(m.frequency for m in basis))
     for n in basis.harmonics():
         if n < 1:
             continue
-        drive_n = dataclasses.replace(drive, drive_frequency=basis.frequency_for(n),
-                                      electrode_harmonic=n)
-        dt_n = 1.0 / (40.0 * max(m.frequency for m in basis))
+        drive_n = replace(drive, drive_frequency=basis.frequency_for(n),
+                          electrode_harmonic=n)
         traj_n = respond(basis, drive_n, duration=10.0 * dt_n, dt=dt_n)
         env = field_envelope(basis, traj_n, grid, t=None)
         img = holography.time_averaged(env, optics)
@@ -184,13 +194,9 @@ def cmd_fringes(plan) -> int:
         written.append(name)
 
     # stroboscopic pair at the configured offset for the driven harmonic
-    traj = respond(basis, drive, duration=plan["drive"]["duration"], dt=dt)
     offset = plan["analysis"]["strobe_offset_deg"]
-    snap_a = snapshot_at_strobe(basis, traj, grid, 0.0)
-    snap_b = snapshot_at_strobe(basis, traj, grid, offset)
-    pmap = holography.stroboscopic(snap_a, snap_b, optics,
-                                   strobe_phases=(0.0, offset),
-                                   rng=rng if optics.noise_sigma > 0 else None)
+    pmap = _strobe_pair(basis, traj, grid, optics, 0.0, offset,
+                        np.random.default_rng(plan["seed"]))
     stem = f"strobe_md{drive.electrode_harmonic}_{0:g}d_{offset:g}d"
     ioutil.write_pgm(_outpath(plan, stem + ".pgm"),
                      ioutil.phase_to_unit(pmap.phase), pmap.mask)
@@ -203,23 +209,18 @@ def cmd_fringes(plan) -> int:
 
 
 def cmd_fit(plan) -> int:
-    _, basis0 = _solve_basis(plan)
-    basis, drive, dt = _resolve_drive(plan, basis0)
+    basis, drive, traj = _driven_run(plan)
     optics = _optics(plan)
     ana = plan["analysis"]
     ring = RingGrid(radius=ana["circle_radius"], count=ana["circle_count"])
     rng = np.random.default_rng(plan["seed"])
-    traj = respond(basis, drive, duration=plan["drive"]["duration"], dt=dt)
 
     offset = ana["strobe_offset_deg"]
     rows = []
     fits = []
     for s_deg in ana["strobe_phases_deg"]:
-        snap_a = snapshot_at_strobe(basis, traj, ring, s_deg)
-        snap_b = snapshot_at_strobe(basis, traj, ring, s_deg + offset)
-        pmap = holography.stroboscopic(
-            snap_a, snap_b, optics, strobe_phases=(s_deg, s_deg + offset),
-            rng=rng if optics.noise_sigma > 0 else None)
+        pmap = _strobe_pair(basis, traj, ring, optics, s_deg, s_deg + offset,
+                            rng)
         diff = holography.unwrap_to_displacement(pmap, optics)
         sample = analysis.CircleSample.from_field(diff, source="hologram")
         n = analysis.detect_mode_number(sample)
@@ -244,23 +245,19 @@ def cmd_fit(plan) -> int:
         f"amplitude CV: {track.amplitude_cv:.4%}",
         f"asymmetry index: {asym:.3e}",
     ]
-    ioutil.atomic_write_text(_outpath(plan, "fit_summary.txt"),
-                             "\n".join(lines) + "\n")
-    print("\n".join(lines))
+    _write_and_print(plan, "fit_summary.txt", "\n".join(lines) + "\n")
     return 0
 
 
 def cmd_report(plan) -> int:
-    _, basis = _solve_basis(plan)
+    basis = _solve_basis(plan)
     computed = []
     for n in range(1, 8):
         try:
             computed.append(basis.frequency_for(n))
         except StatorLabError:
             break
-    text = reference.build_report(computed)
-    ioutil.atomic_write_text(_outpath(plan, "report.txt"), text)
-    print(text, end="")
+    _write_and_print(plan, "report.txt", reference.build_report(computed))
     return 0
 
 
@@ -294,13 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _merge_config(args)
-        plan = validate_config(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return COMMANDS[args.command](plan)
+        return COMMANDS[args.command](validate_config(_merge_config(args)))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -14,7 +14,7 @@ import copy
 import json
 import math
 
-from .errors import ConfigError
+from .errors import ConfigError, GeometryError
 from .geometry import Material, StatorGeometry
 from .modal import Discretization
 
@@ -148,16 +148,14 @@ def apply_overrides(cfg: dict, assignments) -> dict:
 
 
 def _section(cfg: dict, name: str) -> dict:
+    """The section ``name``, checked against the keys of its defaults."""
     sec = cfg.get(name)
     if not isinstance(sec, dict):
         raise ConfigError(f"config section {name!r} missing or not an object")
-    return sec
-
-
-def _check_keys(name: str, sec: dict, allowed):
-    unknown = sorted(set(sec) - set(allowed))
+    unknown = sorted(set(sec) - set(DEFAULT_CONFIG[name]))
     if unknown:
         raise ConfigError(f"unknown key(s) in section {name!r}: {', '.join(unknown)}")
+    return sec
 
 
 def _num(name: str, sec: dict, key: str, positive=True, minimum=None,
@@ -188,16 +186,10 @@ def _int(name: str, sec: dict, key: str, minimum=0):
     return value
 
 
-GEOMETRY_KEYS = ("inner_radius", "outer_radius", "tooth_band_inner_radius",
-                 "fixture_radius", "total_height", "notch_count",
-                 "notch_width", "notch_depth", "base_thickness")
-
-
 def build_geometry(cfg: dict) -> StatorGeometry:
     sec = _section(cfg, "geometry")
-    _check_keys("geometry", sec, GEOMETRY_KEYS)
     kwargs = {}
-    for key in GEOMETRY_KEYS:
+    for key in DEFAULT_CONFIG["geometry"]:
         if key == "notch_count":
             kwargs[key] = _int("geometry", sec, key, minimum=0)
         elif key == "base_thickness":
@@ -207,13 +199,8 @@ def build_geometry(cfg: dict) -> StatorGeometry:
     return StatorGeometry(**kwargs)
 
 
-MATERIAL_KEYS = ("youngs_modulus", "poisson_ratio", "density",
-                 "modal_damping_ratio", "damping_overrides")
-
-
 def build_material(cfg: dict) -> Material:
     sec = _section(cfg, "material")
-    _check_keys("material", sec, MATERIAL_KEYS)
     overrides_raw = sec.get("damping_overrides") or {}
     if not isinstance(overrides_raw, dict):
         raise ConfigError("material.damping_overrides: expected an object "
@@ -242,14 +229,8 @@ def build_material(cfg: dict) -> Material:
     )
 
 
-MODAL_KEYS = ("n_min", "n_max", "modes_per_n", "radial_nodes",
-              "quadrature_order", "calibrate", "calibration_target_n",
-              "calibration_target_hz")
-
-
 def build_modal_plan(cfg: dict) -> dict:
     sec = _section(cfg, "modal")
-    _check_keys("modal", sec, MODAL_KEYS)
     plan = {
         "n_min": _int("modal", sec, "n_min", minimum=0),
         "n_max": _int("modal", sec, "n_max", minimum=0),
@@ -272,14 +253,8 @@ def build_modal_plan(cfg: dict) -> dict:
     return plan
 
 
-DRIVE_KEYS = ("drive_frequency", "peak_to_peak_voltage", "force_per_volt",
-              "electrode_harmonic", "phase_layout", "duration", "dt",
-              "damping", "target_edge_amplitude")
-
-
 def build_drive_plan(cfg: dict) -> dict:
     sec = _section(cfg, "drive")
-    _check_keys("drive", sec, DRIVE_KEYS)
     layout = sec.get("phase_layout")
     if layout not in ("quadrature", "single"):
         raise ConfigError(
@@ -309,13 +284,8 @@ def build_drive_plan(cfg: dict) -> dict:
     }
 
 
-OPTICS_KEYS = ("wavelength", "sensitivity_factor", "strobe_duty",
-               "amplitude_clip", "noise_sigma")
-
-
 def build_optics_plan(cfg: dict) -> dict:
     sec = _section(cfg, "optics")
-    _check_keys("optics", sec, OPTICS_KEYS)
     sens = _num("optics", sec, "sensitivity_factor", allow=("auto",))
     return {
         "wavelength": _num("optics", sec, "wavelength"),
@@ -327,14 +297,8 @@ def build_optics_plan(cfg: dict) -> dict:
     }
 
 
-ANALYSIS_KEYS = ("probe_radii", "probe_theta", "circle_radius",
-                 "circle_count", "strobe_offset_deg", "strobe_phases_deg",
-                 "settling_band", "settling_time_target")
-
-
 def build_analysis_plan(cfg: dict) -> dict:
     sec = _section(cfg, "analysis")
-    _check_keys("analysis", sec, ANALYSIS_KEYS)
     radii = sec.get("probe_radii")
     if (not isinstance(radii, (list, tuple)) or not radii
             or not all(isinstance(r, (int, float)) and r > 0 for r in radii)):
@@ -347,6 +311,10 @@ def build_analysis_plan(cfg: dict) -> dict:
         raise ConfigError(
             "analysis.strobe_phases_deg: expected a list of strobe phases "
             f"in degrees, got {phases!r}")
+    if len(set(phases)) < 3:
+        raise ConfigError(
+            "analysis.strobe_phases_deg: need at least 3 distinct strobe "
+            f"phases, got {phases!r}")
     theta = sec.get("probe_theta")
     if not isinstance(theta, (int, float)) or isinstance(theta, bool):
         raise ConfigError(
@@ -363,12 +331,8 @@ def build_analysis_plan(cfg: dict) -> dict:
     }
 
 
-IMAGE_KEYS = ("pixels", "margin")
-
-
 def build_image_plan(cfg: dict) -> dict:
     sec = _section(cfg, "image")
-    _check_keys("image", sec, IMAGE_KEYS)
     return {
         "pixels": _int("image", sec, "pixels", minimum=16),
         "margin": _num("image", sec, "margin", minimum=1.0),
@@ -384,7 +348,6 @@ def build_seed(cfg: dict) -> int:
 
 def build_output_dir(cfg: dict) -> str:
     sec = _section(cfg, "output")
-    _check_keys("output", sec, ("directory",))
     directory = sec.get("directory")
     if not isinstance(directory, str) or not directory:
         raise ConfigError(
@@ -394,14 +357,16 @@ def build_output_dir(cfg: dict) -> str:
 
 def validate_config(cfg: dict) -> dict:
     """Build every typed object/plan up front; raises ConfigError on any
-    problem so commands never start computing from a bad config."""
-    known = {"geometry", "material", "modal", "drive", "optics", "analysis",
-             "image", "output", "seed"}
-    unknown = sorted(set(cfg) - known)
+    problem, inconsistent geometry or material included, so commands never
+    start computing from a bad config."""
+    unknown = sorted(set(cfg) - set(DEFAULT_CONFIG))
     if unknown:
         raise ConfigError(f"unknown config section(s): {', '.join(unknown)}")
-    geometry = build_geometry(cfg)
-    material = build_material(cfg)
+    try:
+        geometry = build_geometry(cfg)
+        material = build_material(cfg)
+    except GeometryError as exc:
+        raise ConfigError(str(exc)) from None
     plan = {
         "geometry": geometry,
         "material": material,

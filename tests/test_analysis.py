@@ -198,6 +198,9 @@ def test_track_input_guards():
     fits = [(0.0, _fit_at(1.0, 0.0)), (60.0, _fit_at(1.0, 0.0))]
     with pytest.raises(SamplingError, match="at least 3"):
         track_strobe_phase(fits)
+    # repeated strobe phases do not count twice
+    with pytest.raises(SamplingError, match="at least 3"):
+        track_strobe_phase(fits + [(60.0, _fit_at(1.0, 0.0))])
     fits.append((120.0, _fit_at(1.0, 0.0, n=3)))
     with pytest.raises(DomainError, match="mix harmonics"):
         track_strobe_phase(fits)

@@ -93,6 +93,11 @@ def test_damping_overrides_reach_material():
     ("image.pixels=8", ">= 16"),
     ("seed=-3", "seed"),
     ("material.damping_overrides.x=0.01", "not an integer"),
+    ("geometry.fixture_radius=0.012", "fixture_radius"),
+    ("geometry.notch_count=400", "do not fit"),
+    ("material.poisson_ratio=0.5", "poisson_ratio"),
+    ("analysis.strobe_phases_deg=[30,30,30]", "3 distinct"),
+    ("analysis.strobe_phases_deg=[0,30]", "3 distinct"),
 ])
 def test_validate_config_rejections(override, fragment):
     cfg = apply_overrides(default_config(), [override])
@@ -109,11 +114,50 @@ def test_cli_config_error_exit(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_cli_inconsistent_geometry_is_config_error(tmp_path, capsys):
+    rc = main(["modes", "--out", str(tmp_path / "o"),
+               "--set", "geometry.notch_count=400"])
+    assert rc == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_numerical_error_exit(tmp_path, capsys):
     rc = main(["respond", "--out", str(tmp_path / "o"), *LIGHT,
                "--set", "modal.n_max=4", "--set", "drive.dt=1e-3"])
     assert rc == 3
     assert "sampling bound" in capsys.readouterr().err
+
+
+def test_cli_fringes_refuses_before_writing(tmp_path, capsys):
+    out = tmp_path / "o"
+    rc = main(["fringes", "--out", str(out), *LIGHT,
+               "--set", "modal.n_max=4", "--set", "image.pixels=64",
+               "--set", "drive.dt=1e-3"])
+    assert rc == 3
+    assert "sampling bound" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# the files README's command table lists for each stage
+STAGE_FILES = {
+    "modes": {"modes.csv", "radial_profiles.txt"},
+    "respond": {"probes.csv", "settling.txt"},
+    "fringes": {f"timeavg_md{n}.pgm" for n in range(1, 5)}
+    | {"strobe_md4_0d_60d.pgm", "strobe_md4_0d_60d.f32"},
+    "fit": {"fit.csv", "fit_summary.txt"},
+    "report": {"report.txt"},
+}
+
+
+def test_cli_each_stage_writes_its_files(tmp_path):
+    light = ["--set", "modal.n_max=4", "--set", "modal.radial_nodes=48",
+             "--set", "image.pixels=64"]
+    for stage, expected in STAGE_FILES.items():
+        out = tmp_path / stage
+        assert main([stage, "--out", str(out), *light]) == 0
+        assert {p.name for p in out.iterdir()} == expected
+    assert sum(map(len, STAGE_FILES.values())) == 13
 
 
 def test_cli_modes_outputs(tmp_path, capsys):

@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from scipy.special import j0
+from scipy.special import j0, jn_zeros
+
+import statorlab
 
 from statorlab.errors import DomainError, UnwrapError
 from statorlab.grids import DisplacementField, RasterGrid, RingGrid
@@ -99,6 +106,17 @@ def test_first_dark_fringe_value(optics):
     # doubling the wavelength doubles the dark-fringe amplitude
     red = OpticalConfig(wavelength=1064e-9)
     assert first_dark_fringe_amplitude(red) == pytest.approx(2 * a, rel=1e-12)
+    # the embedded first zero of J0 is scipy's, bit for bit
+    assert a == float(jn_zeros(0, 1)[0]) / optics.sensitivity_factor
+
+
+def test_cli_import_leaves_out_scipy_special():
+    src = str(Path(statorlab.__file__).resolve().parents[1])
+    code = "import sys, statorlab.cli; print('scipy.special' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.strip() == "False"
 
 
 def test_stroboscopic_antisymmetry(optics):
