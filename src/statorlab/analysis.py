@@ -18,6 +18,10 @@ from .errors import (DomainError, NoModeError, SamplingError,
 from .grids import DisplacementField, circle_values
 
 AMPLITUDE_FLOOR = 1e-15     # m; below this a fitted sinusoid has no phase
+# the fitted phase moves one electrical degree per strobe degree, so a step
+# this wide between consecutive strobes aliases in the unwrap (and at
+# exactly 180 deg the direction of travel is lost)
+STROBE_STEP_LIMIT_DEG = 180.0
 
 
 @dataclass(frozen=True)
@@ -193,10 +197,15 @@ def track_strobe_phase(fits, cv_threshold: float = 0.05,
     a sinusoid in twice the strobe phase.  Anything else is mixed.
     """
     fits = sorted(fits, key=lambda item: item[0])
-    distinct = len({deg for deg, _ in fits})
-    if distinct < 3:
+    distinct = sorted({deg for deg, _ in fits})
+    if len(distinct) < 3:
         raise SamplingError(
-            f"need at least 3 distinct strobe phases, got {distinct}")
+            f"need at least 3 distinct strobe phases, got {len(distinct)}")
+    widest = float(np.max(np.diff(distinct)))
+    if widest >= STROBE_STEP_LIMIT_DEG:
+        raise SamplingError(
+            f"consecutive strobe phases {widest:g} deg apart; the phase "
+            f"unwrap needs steps below {STROBE_STEP_LIMIT_DEG:g} deg")
     ns = {f.n for _, f in fits}
     if len(ns) != 1:
         raise DomainError(f"fits mix harmonics {sorted(ns)}")

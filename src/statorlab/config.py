@@ -14,6 +14,7 @@ import copy
 import json
 import math
 
+from .analysis import STROBE_STEP_LIMIT_DEG
 from .errors import ConfigError, GeometryError
 from .geometry import Material, StatorGeometry
 from .modal import Discretization
@@ -311,10 +312,16 @@ def build_analysis_plan(cfg: dict) -> dict:
         raise ConfigError(
             "analysis.strobe_phases_deg: expected a list of strobe phases "
             f"in degrees, got {phases!r}")
-    if len(set(phases)) < 3:
+    distinct = sorted(set(phases))
+    if len(distinct) < 3:
         raise ConfigError(
             "analysis.strobe_phases_deg: need at least 3 distinct strobe "
             f"phases, got {phases!r}")
+    widest = max(b - a for a, b in zip(distinct, distinct[1:]))
+    if widest >= STROBE_STEP_LIMIT_DEG:
+        raise ConfigError(
+            "analysis.strobe_phases_deg: consecutive strobe phases must be "
+            f"less than {STROBE_STEP_LIMIT_DEG:g} deg apart, got {phases!r}")
     theta = sec.get("probe_theta")
     if not isinstance(theta, (int, float)) or isinstance(theta, bool):
         raise ConfigError(

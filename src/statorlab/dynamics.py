@@ -15,6 +15,12 @@ instantaneous envelope.  This closed form is evaluated directly at every
 sample and at any instant in the span, so there is no time stepping, no
 step-size stability limit, and linearity in the drive voltage is
 bit-exact.
+
+Only driven modes cost anything: ``respond`` evaluates the rows whose
+steady or transient term is non-zero, and a field render contracts over
+the modes whose state is non-zero.  Each trajectory keeps the shapes of
+those modes per grid, so its envelope and its strobe snapshots on one grid
+evaluate them once.
 """
 
 from __future__ import annotations
@@ -123,6 +129,10 @@ class ModalTrajectory:
     drive: DriveConfig
     alpha: np.ndarray = field(repr=False)
     wd: np.ndarray = field(repr=False)
+    # grid -> (modes, shapes on the grid's masked samples); never copied by
+    # dataclasses.replace
+    _shape_tables: dict = field(default_factory=dict, init=False, repr=False,
+                                compare=False)
 
     @property
     def dt(self) -> float:
@@ -158,6 +168,21 @@ class ModalTrajectory:
         transient = self.q[:, 0] - self.steady
         return (self.steady * np.exp(1.0j * self.drive.omega * t)
                 + transient * np.exp((-self.alpha + 1.0j * self.wd) * t))
+
+    def _shapes_on(self, grid, modes: tuple) -> np.ndarray:
+        """Shapes of ``modes`` on the masked samples of ``grid``.
+
+        Built once per grid; a request for other modes (another live set
+        or another basis) rebuilds the grid's table.
+        """
+        built = self._shape_tables.get(grid)
+        if (built is None or len(built[0]) != len(modes)
+                or any(a is not b for a, b in zip(built[0], modes))):
+            mask = grid.mask
+            built = (modes,
+                     _mode_shapes_on(modes, grid.r[mask], grid.theta[mask]))
+            self._shape_tables[grid] = built
+        return built[1]
 
 
 def respond(basis: ModalBasis, drive: DriveConfig, duration: float,
@@ -198,7 +223,11 @@ def respond(basis: ModalBasis, drive: DriveConfig, duration: float,
         C = np.asarray(initial, dtype=complex) - Q
     times = dt * np.arange(int(round(duration / dt)) + 1)
     E = np.exp(1.0j * drive.omega * times)
-    q = Q[:, None] * E + C[:, None] * np.exp(np.outer(-alpha + 1.0j * wd, times))
+    # undriven modes at rest stay exactly zero
+    live = (Q != 0.0) | (C != 0.0)
+    q = np.zeros((len(basis), times.size), dtype=complex)
+    q[live] = (Q[live, None] * E + C[live, None]
+               * np.exp(np.outer(-alpha[live] + 1.0j * wd[live], times)))
 
     # |q| <= |Q| + |C| e^{-alpha t}: any excursion past that is a bug
     cap = np.abs(Q) + np.abs(C)
@@ -252,17 +281,23 @@ def calibrate_force_per_volt(basis: ModalBasis, drive: DriveConfig,
     return needed_force / (0.5 * drive.peak_to_peak_voltage * math.pi * moment)
 
 
-def _mode_shapes_on(basis: ModalBasis, r: np.ndarray, theta: np.ndarray
-                    ) -> np.ndarray:
-    """Stack of mode shapes evaluated at flat (r, theta) arrays."""
-    return radial_shapes(basis.modes, r) * np.stack([m.angular(theta) for m in basis])
+def _mode_shapes_on(modes, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Stack of the shapes of ``modes`` evaluated at flat (r, theta) arrays."""
+    return radial_shapes(modes, r) * np.stack([m.angular(theta) for m in modes])
 
 
-def _render(basis: ModalBasis, grid, state: np.ndarray) -> np.ndarray:
-    """sum_k state_k Phi_k on the grid; off-annulus samples stay zero."""
+def _render(basis: ModalBasis, trajectory: ModalTrajectory, grid,
+            state: np.ndarray) -> np.ndarray:
+    """sum_k state_k Phi_k on the grid; off-annulus samples stay zero.
+
+    Only modes with a non-zero state are evaluated, through the
+    trajectory's shape table for ``grid``.
+    """
     values = np.zeros(grid.shape, dtype=state.dtype)
-    mask = grid.mask
-    values[mask] = state @ _mode_shapes_on(basis, grid.r[mask], grid.theta[mask])
+    live = np.flatnonzero(state)
+    if live.size:
+        modes = tuple(basis.modes[k] for k in live)
+        values[grid.mask] = state[live] @ trajectory._shapes_on(grid, modes)
     return values
 
 
@@ -272,7 +307,7 @@ def field_at(basis: ModalBasis, trajectory: ModalTrajectory, t: float,
 
     Off-annulus samples are left at zero and flagged by the grid mask.
     """
-    values = _render(basis, grid, trajectory.state_at(t).real)
+    values = _render(basis, trajectory, grid, trajectory.state_at(t).real)
     return DisplacementField(grid, values, time=t, label=f"t={t:.9e}s")
 
 
@@ -284,7 +319,7 @@ def field_envelope(basis: ModalBasis, trajectory: ModalTrajectory,
     included); with ``t = None``, the analytic steady state.
     """
     state = trajectory.steady if t is None else trajectory.state_at(t)
-    values = np.abs(_render(basis, grid, state))
+    values = np.abs(_render(basis, trajectory, grid, state))
     label = "steady envelope" if t is None else f"envelope t={t:.9e}s"
     return DisplacementField(grid, values, time=(trajectory.times[-1] if t is None else t),
                              label=label)
@@ -317,7 +352,8 @@ def snapshot_at_strobe(basis: ModalBasis, trajectory: ModalTrajectory,
     offsets = (np.arange(subsamples) + 0.5) / subsamples - 0.5
     state = np.mean([trajectory.state_at(t + f * duty * T).real
                      for f in offsets], axis=0)
-    return DisplacementField(grid, _render(basis, grid, state), time=t,
+    return DisplacementField(grid, _render(basis, trajectory, grid, state),
+                             time=t,
                              label=f"strobe {strobe_deg:g}deg duty={duty:g}")
 
 

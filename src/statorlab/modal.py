@@ -33,6 +33,9 @@ from .errors import DiscretizationError, DomainError, NumericalError
 from .geometry import EffectivePlate
 
 EIG_RESIDUAL_TOL = 1e-8
+# 3-point Gauss-Legendre rule on [-1, 1]: exact for Mode.radial_moment's
+# degree-4 integrand
+_MOMENT_XI, _MOMENT_W = np.polynomial.legendre.leggauss(3)
 
 
 @dataclass(frozen=True)
@@ -264,10 +267,9 @@ class Mode:
 
     def radial_moment(self) -> float:
         """Int W(r) r dr over the active annulus (exact per-element Gauss)."""
-        xi, w = np.polynomial.legendre.leggauss(3)   # degree-4 integrand
         h = np.diff(self.radial_nodes)[:, None]
-        r = self.radial_nodes[:-1, None] + 0.5 * (xi + 1.0) * h
-        return float(np.sum(0.5 * w * h * self.radial(r) * r))
+        r = self.radial_nodes[:-1, None] + 0.5 * (_MOMENT_XI + 1.0) * h
+        return float(np.sum(0.5 * _MOMENT_W * h * self.radial(r) * r))
 
 
 def mode_shape_eval(mode: Mode, r, theta):

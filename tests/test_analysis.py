@@ -201,6 +201,9 @@ def test_track_input_guards():
     # repeated strobe phases do not count twice
     with pytest.raises(SamplingError, match="at least 3"):
         track_strobe_phase(fits + [(60.0, _fit_at(1.0, 0.0))])
+    # a step of half a cycle or more between strobes aliases in the unwrap
+    with pytest.raises(SamplingError, match="180 deg apart"):
+        track_strobe_phase(fits + [(240.0, _fit_at(1.0, 0.0))])
     fits.append((120.0, _fit_at(1.0, 0.0, n=3)))
     with pytest.raises(DomainError, match="mix harmonics"):
         track_strobe_phase(fits)

@@ -98,6 +98,9 @@ def test_damping_overrides_reach_material():
     ("material.poisson_ratio=0.5", "poisson_ratio"),
     ("analysis.strobe_phases_deg=[30,30,30]", "3 distinct"),
     ("analysis.strobe_phases_deg=[0,30]", "3 distinct"),
+    ("analysis.strobe_phases_deg=[0,30,300]", "less than 180 deg apart"),
+    ("analysis.strobe_phases_deg=[0,200,400]", "less than 180 deg apart"),
+    ("analysis.strobe_phases_deg=[0,30,360]", "less than 180 deg apart"),
 ])
 def test_validate_config_rejections(override, fragment):
     cfg = apply_overrides(default_config(), [override])

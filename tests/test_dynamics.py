@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from statorlab import dynamics
 from statorlab.dynamics import (DriveConfig, ExternalMode, _mode_constants,
                                 calibrate_force_per_volt, field_at,
                                 field_envelope, lateral_mode_proxy,
@@ -8,7 +11,7 @@ from statorlab.dynamics import (DriveConfig, ExternalMode, _mode_constants,
                                 respond, settling_damping_ratio,
                                 snapshot_at_strobe)
 from statorlab.errors import DomainError, TimeStepError
-from statorlab.grids import RingGrid
+from statorlab.grids import RasterGrid, RingGrid
 
 
 @pytest.fixture(scope="module")
@@ -283,6 +286,115 @@ def test_finite_strobe_equals_mean_of_instant_renders(basis, traj):
                     for f in offsets], axis=0)
     assert snap.time == t
     assert np.max(np.abs(snap.values - mean)) <= 1e-14 * np.max(np.abs(mean))
+
+
+def _full_render(basis, grid, state):
+    """Reference: contract the state with the shape of every basis mode."""
+    mask = grid.mask
+    shapes = np.stack([m.radial(grid.r[mask]) * m.angular(grid.theta[mask])
+                       for m in basis])
+    values = np.zeros(grid.shape, dtype=state.dtype)
+    values[mask] = state @ shapes
+    return values
+
+
+def _renders_and_references(basis, traj, grid):
+    """(rendered, full-basis reference) for the steady envelope, the
+    envelope at a given t, an instantaneous and a finite-duty strobe."""
+    T = traj.drive.period
+    t_mid = 0.5 * traj.times[-1]
+    t_strobe = traj.times[-1] - 2 * T + 0.25 * T
+    offsets = (np.arange(8) + 0.5) / 8 - 0.5
+    window = np.mean([traj.state_at(t_strobe + f * 0.2 * T).real
+                      for f in offsets], axis=0)
+    return [
+        (field_envelope(basis, traj, grid).values,
+         np.abs(_full_render(basis, grid, traj.steady))),
+        (field_envelope(basis, traj, grid, t=t_mid).values,
+         np.abs(_full_render(basis, grid, traj.state_at(t_mid)))),
+        (snapshot_at_strobe(basis, traj, grid, 90.0).values,
+         _full_render(basis, grid, traj.state_at(t_strobe).real)),
+        (snapshot_at_strobe(basis, traj, grid, 90.0, duty=0.2).values,
+         _full_render(basis, grid, window)),
+    ]
+
+
+GRIDS = [RasterGrid(inner_radius=3.75e-3, outer_radius=15e-3, pixels=64),
+         RingGrid(radius=14e-3, count=90)]
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=["raster", "ring"])
+@pytest.mark.parametrize("case", ["driven", "pair_defect", "every_mode_live"])
+def test_live_mode_render_matches_full_basis(basis, drive, grid, case):
+    if case == "pair_defect":
+        basis = basis.with_pair_defect(4, frequency_split=0.01, shape_leak=0.05)
+    initial = None
+    if case == "every_mode_live":
+        rng = np.random.default_rng(5)
+        initial = 1e-9 * (rng.standard_normal(len(basis))
+                          + 1j * rng.standard_normal(len(basis)))
+    traj = respond(basis, drive, duration=4e-3, initial=initial)
+    live = np.flatnonzero(np.any(traj.q != 0.0, axis=1))
+    assert live.size == (len(basis) if initial is not None else 2)
+    for got, ref in _renders_and_references(basis, traj, grid):
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def test_undriven_rows_are_exact_zeros(basis, drive, traj):
+    driven = np.array([m.n == 4 for m in basis])
+    assert np.all(traj.q[~driven] == 0.0)
+    assert np.all(np.abs(traj.q[driven, 1:]) > 0.0)
+    # with no live mode at all, renders are zero and evaluate no shape
+    rest = respond(basis, dataclasses.replace(drive, force_per_volt=0.0),
+                   duration=4e-3)
+    ring = GRIDS[1]
+    assert not rest.q.any()
+    assert not field_envelope(basis, rest, ring).values.any()
+    assert not snapshot_at_strobe(basis, rest, ring, 30.0).values.any()
+    assert rest._shape_tables == {}
+
+
+def test_shapes_evaluated_once_per_trajectory_and_grid(basis, drive,
+                                                       monkeypatch):
+    calls = []
+    evaluate = dynamics._mode_shapes_on
+
+    def counted(modes, r, theta):
+        calls.append(len(modes))
+        return evaluate(modes, r, theta)
+
+    monkeypatch.setattr(dynamics, "_mode_shapes_on", counted)
+    traj = respond(basis, drive, duration=4e-3)
+    raster, ring = GRIDS
+    first = field_envelope(basis, traj, raster).values
+    snapshot_at_strobe(basis, traj, raster, 0.0)
+    snapshot_at_strobe(basis, traj, raster, 60.0, duty=0.2)
+    again = field_envelope(basis, traj, raster).values
+    assert np.array_equal(first, again)
+    assert calls == [2]          # the two driven modes, once
+    field_envelope(basis, traj, ring)
+    assert calls == [2, 2]
+    # an equal grid built anew hits the same table
+    field_envelope(basis, traj, RingGrid(radius=14e-3, count=90))
+    assert calls == [2, 2]
+
+
+def test_shape_table_belongs_to_one_trajectory_and_basis(basis, drive):
+    traj = respond(basis, drive, duration=4e-3)
+    grid = GRIDS[1]
+    first = field_envelope(basis, traj, grid).values
+    scaled = dataclasses.replace(traj, q=2.0 * traj.q, steady=2.0 * traj.steady)
+    assert scaled._shape_tables == {}
+    assert scaled._shape_tables is not traj._shape_tables
+    assert np.array_equal(field_envelope(basis, scaled, grid).values,
+                          2.0 * first)
+    # another basis of the same size rendered with this trajectory never
+    # reads the table built for the first basis
+    leaky = basis.with_pair_defect(4, shape_leak=0.2)
+    got = field_envelope(leaky, traj, grid).values
+    ref = np.abs(_full_render(leaky, grid, traj.steady))
+    assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(ref)
+    assert np.max(np.abs(got - first)) > 0.1 * np.max(first)
 
 
 def test_snapshot_needs_two_cycles(basis, drive):
