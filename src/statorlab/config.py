@@ -159,6 +159,20 @@ def _section(cfg: dict, name: str) -> dict:
     return sec
 
 
+def _is_number(value) -> bool:
+    """An int or float, not a bool, that is finite as a float64.
+
+    JSON admits NaN, Infinity and integers of any length; none of them is
+    a usable config number.
+    """
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:          # an int beyond the float64 range
+        return False
+
+
 def _num(name: str, sec: dict, key: str, positive=True, minimum=None,
          maximum=None, allow=()):
     value = sec.get(key)
@@ -166,8 +180,8 @@ def _num(name: str, sec: dict, key: str, positive=True, minimum=None,
         return value
     if value is None and None in allow:
         return None
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{name}.{key}: expected a number, got {value!r}")
+    if not _is_number(value):
+        raise ConfigError(f"{name}.{key}: expected a finite number, got {value!r}")
     value = float(value)
     if positive and value <= 0.0:
         raise ConfigError(f"{name}.{key}: must be positive, got {value}")
@@ -180,8 +194,9 @@ def _num(name: str, sec: dict, key: str, positive=True, minimum=None,
 
 def _int(name: str, sec: dict, key: str, minimum=0):
     value = sec.get(key)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{name}.{key}: expected an integer, got {value!r}")
+    if not isinstance(value, int) or not _is_number(value):
+        raise ConfigError(
+            f"{name}.{key}: expected an integer in float64 range, got {value!r}")
     if value < minimum:
         raise ConfigError(f"{name}.{key}: must be >= {minimum}, got {value}")
     return value
@@ -214,7 +229,7 @@ def build_material(cfg: dict) -> Material:
             raise ConfigError(
                 f"material.damping_overrides: harmonic key {key!r} is not "
                 "an integer") from None
-        if not isinstance(value, (int, float)) or not 0.0 < float(value) < 1.0:
+        if not _is_number(value) or not 0.0 < value < 1.0:
             raise ConfigError(
                 f"material.damping_overrides[{key}]: damping ratio must be "
                 f"in (0, 1), got {value!r}")
@@ -263,8 +278,7 @@ def build_drive_plan(cfg: dict) -> dict:
             f"{layout!r}")
     damping = sec.get("damping")
     if damping not in ("settling-target", "material"):
-        if not isinstance(damping, (int, float)) or isinstance(damping, bool) \
-                or not 0.0 < float(damping) < 1.0:
+        if not _is_number(damping) or not 0.0 < damping < 1.0:
             raise ConfigError(
                 "drive.damping: expected 'settling-target', 'material' or a "
                 f"ratio in (0, 1), got {damping!r}")
@@ -302,16 +316,16 @@ def build_analysis_plan(cfg: dict) -> dict:
     sec = _section(cfg, "analysis")
     radii = sec.get("probe_radii")
     if (not isinstance(radii, (list, tuple)) or not radii
-            or not all(isinstance(r, (int, float)) and r > 0 for r in radii)):
+            or not all(_is_number(r) and r > 0 for r in radii)):
         raise ConfigError(
             "analysis.probe_radii: expected a non-empty list of positive "
             f"radii, got {radii!r}")
     phases = sec.get("strobe_phases_deg")
     if (not isinstance(phases, (list, tuple)) or len(phases) < 1
-            or not all(isinstance(p, (int, float)) for p in phases)):
+            or not all(_is_number(p) for p in phases)):
         raise ConfigError(
-            "analysis.strobe_phases_deg: expected a list of strobe phases "
-            f"in degrees, got {phases!r}")
+            "analysis.strobe_phases_deg: expected a list of finite strobe "
+            f"phases in degrees, got {phases!r}")
     distinct = sorted(set(phases))
     if len(distinct) < 3:
         raise ConfigError(
@@ -323,9 +337,9 @@ def build_analysis_plan(cfg: dict) -> dict:
             "analysis.strobe_phases_deg: consecutive strobe phases must be "
             f"less than {STROBE_STEP_LIMIT_DEG:g} deg apart, got {phases!r}")
     theta = sec.get("probe_theta")
-    if not isinstance(theta, (int, float)) or isinstance(theta, bool):
+    if not _is_number(theta):
         raise ConfigError(
-            f"analysis.probe_theta: expected a number, got {theta!r}")
+            f"analysis.probe_theta: expected a finite number, got {theta!r}")
     return {
         "probe_radii": [float(r) for r in radii],
         "probe_theta": float(theta),
@@ -391,8 +405,7 @@ def validate_config(cfg: dict) -> dict:
             raise ConfigError(
                 f"analysis.probe_radii: {r} lies outside the stator "
                 f"(outer radius {rim})")
-    if not math.isfinite(plan["analysis"]["circle_radius"]) \
-            or plan["analysis"]["circle_radius"] > rim * (1 + 1e-12):
+    if plan["analysis"]["circle_radius"] > rim * (1 + 1e-12):
         raise ConfigError(
             f"analysis.circle_radius: {plan['analysis']['circle_radius']} "
             f"lies outside the stator (outer radius {rim})")

@@ -343,18 +343,14 @@ def snapshot_at_strobe(basis: ModalBasis, trajectory: ModalTrajectory,
     if t0 < trajectory.times[0]:
         raise DomainError("trajectory shorter than two drive cycles")
     t = t0 + (strobe_deg / 360.0) * T
-    if duty == 0.0:
-        fld = field_at(basis, trajectory, t, grid)
-        return DisplacementField(grid, fld.values, time=t,
-                                 label=f"strobe {strobe_deg:g}deg")
     # the field is linear in the state: average the window's states and
-    # render once
-    offsets = (np.arange(subsamples) + 0.5) / subsamples - 0.5
+    # render once; a closed window (duty 0) averages the single instant t
+    offsets = (np.arange(subsamples) + 0.5) / subsamples - 0.5 if duty else [0.0]
     state = np.mean([trajectory.state_at(t + f * duty * T).real
                      for f in offsets], axis=0)
+    label = f"strobe {strobe_deg:g}deg" + (f" duty={duty:g}" if duty else "")
     return DisplacementField(grid, _render(basis, trajectory, grid, state),
-                             time=t,
-                             label=f"strobe {strobe_deg:g}deg duty={duty:g}")
+                             time=t, label=label)
 
 
 @dataclass(frozen=True)

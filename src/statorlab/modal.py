@@ -18,6 +18,11 @@ are
 with ``c_n = 2 pi`` for ``n = 0`` and ``pi`` otherwise.  The center fixture
 clamps the plate for ``r <= fixture_radius`` (W = W' = 0); all other edges
 are free (natural boundary conditions of the form above).
+
+LAPACK's eigenpairs are polished and gated in extended precision: one
+routine, ``_extended_residual``, evaluates ``K w``, ``M w`` and the
+relative residual in ``np.longdouble`` once per iterate, and the gate
+(``EIG_RESIDUAL_TOL``) reads the residual of the polish's best iterate.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky, eigh, solve
+from scipy.linalg import eigh, solve
 
 from .errors import DiscretizationError, DomainError, NumericalError
 from .geometry import EffectivePlate
@@ -175,8 +180,8 @@ def assemble(plate: EffectivePlate, n: int, disc: Discretization | None = None):
     K, M, _ = _assemble_full(plate, int(n), disc)
     K, M = K[2:, 2:], M[2:, 2:]
     try:
-        cholesky(M)
-    except LinAlgError as exc:
+        np.linalg.cholesky(M)
+    except np.linalg.LinAlgError as exc:
         raise DiscretizationError(
             f"singular mass matrix for n={n} at {disc.radial_nodes} nodes") from exc
     return K, M
@@ -374,6 +379,19 @@ class ModalBasis:
                           self.default_damping, self.damping_overrides)
 
 
+def _extended_residual(Kl: np.ndarray, Ml: np.ndarray, lam: float, w: np.ndarray):
+    """||K w - lam M w|| / ||K w|| with ``w``, ``K w`` and ``M w`` in long double.
+
+    ``Kl`` and ``Ml`` are K and M already converted to ``np.longdouble``.
+    Returns ``(residual, w, K w, M w)``, the last three in long double, so
+    a caller can reuse this iterate's products.
+    """
+    wl = w.astype(np.longdouble)
+    Kw, Mw = Kl @ wl, Ml @ wl
+    r = Kw - np.longdouble(lam) * Mw
+    return float(np.linalg.norm(r) / np.linalg.norm(Kw)), wl, Kw, Mw
+
+
 def eig_residual(K: np.ndarray, M: np.ndarray, lam: float, w: np.ndarray) -> float:
     """||K w - lam M w|| / ||K w|| evaluated in extended precision.
 
@@ -381,44 +399,45 @@ def eig_residual(K: np.ndarray, M: np.ndarray, lam: float, w: np.ndarray) -> flo
     for the lowest modes of a stiff plate swamps the true residual; the
     80-bit accumulation keeps the measurement out of the gate.
     """
-    Kl = K.astype(np.longdouble)
-    wl = w.astype(np.longdouble)
-    Kw = Kl @ wl
-    r = Kw - np.longdouble(lam) * (M.astype(np.longdouble) @ wl)
-    return float(np.linalg.norm(r) / np.linalg.norm(Kw))
+    return _extended_residual(K.astype(np.longdouble), M.astype(np.longdouble),
+                              lam, w)[0]
 
 
 def _polish_eigenpair(K: np.ndarray, M: np.ndarray, lam: float, w: np.ndarray):
     """Refine an eigenpair against the extended-precision residual.
 
     LAPACK's backward error is relative to ||K||, far above ||K w|| for the
-    lowest modes of a stiff plate.  Each pass recomputes the Rayleigh
-    quotient and residual in 80-bit arithmetic and applies a float64
-    correction solve with a slightly offset shift (the near-singularity of
-    K - 0.99 lam M is what makes inverse iteration work, so the
-    ill-conditioning warning is suppressed, not a defect).
+    lowest modes of a stiff plate.  Each pass takes the Rayleigh quotient
+    and residual from the last iterate's 80-bit ``K w`` and ``M w`` and
+    applies a float64 correction solve with a slightly offset shift (the
+    near-singularity of K - 0.99 lam M is what makes inverse iteration
+    work, so the ill-conditioning warning is suppressed, not a defect).
+    K and M are converted to long double once; each iterate costs one
+    ``_extended_residual``, i.e. two long-double matrix-vector products.
+
+    Returns ``(residual, lam, w)`` of the iterate with the smallest
+    residual, the residual being ``eig_residual(K, M, lam, w)``.
     """
-    Kl = K.astype(np.longdouble)
-    Ml = M.astype(np.longdouble)
-    best = (eig_residual(K, M, lam, w), lam, w)
+    Kl, Ml = K.astype(np.longdouble), M.astype(np.longdouble)
+    score, wl, Kw, Mw = _extended_residual(Kl, Ml, lam, w)
+    best = (score, lam, w)
     for _ in range(3):
-        wl = w.astype(np.longdouble)
-        lam = float((wl @ (Kl @ wl)) / (wl @ (Ml @ wl)))
-        r = (Kl @ wl - np.longdouble(lam) * (Ml @ wl)).astype(float)
+        lam = float((wl @ Kw) / (wl @ Mw))
+        r = (Kw - np.longdouble(lam) * Mw).astype(float)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             try:
                 d = solve(K - 0.99 * lam * M, r, assume_a="sym")
-            except LinAlgError:
+            except np.linalg.LinAlgError:
                 break
         w = w - d
         w = w / np.sqrt(w @ M @ w)
-        score = eig_residual(K, M, lam, w)
+        score, wl, Kw, Mw = _extended_residual(Kl, Ml, lam, w)
         if score < best[0]:
             best = (score, lam, w)
         if score < 0.5 * EIG_RESIDUAL_TOL:
             break
-    return best[1], best[2]
+    return best
 
 
 def solve_modes(plate: EffectivePlate, n_max: int, modes_per_n: int = 1,
@@ -427,7 +446,9 @@ def solve_modes(plate: EffectivePlate, n_max: int, modes_per_n: int = 1,
 
     Each harmonic ``n >= 1`` contributes its lowest ``modes_per_n`` radial
     families as cosine/sine pairs sharing one radial solve (so the pair is
-    degenerate down to the last bit); ``n = 0`` modes are single.
+    degenerate down to the last bit); ``n = 0`` modes are single.  Every
+    eigenpair is polished and gated on the polish's own extended-precision
+    residual: above ``EIG_RESIDUAL_TOL`` the solve raises NumericalError.
     """
     if n_max < n_min:
         raise DomainError(f"n_max ({n_max}) must be >= n_min ({n_min})")
@@ -443,7 +464,7 @@ def solve_modes(plate: EffectivePlate, n_max: int, modes_per_n: int = 1,
         try:
             evals, evecs = eigh(Kc * S, Mc * S,
                                 subset_by_index=(0, min(modes_per_n, Kc.shape[0]) - 1))
-        except LinAlgError as exc:
+        except np.linalg.LinAlgError as exc:
             raise NumericalError("eigensolver failed to converge",
                                  harmonic=n, radial_nodes=disc.radial_nodes) from exc
         for k in range(evals.size):
@@ -453,8 +474,7 @@ def solve_modes(plate: EffectivePlate, n_max: int, modes_per_n: int = 1,
                                      harmonic=n, radial_nodes=disc.radial_nodes)
             w = s * evecs[:, k]
             w = w / np.sqrt(w @ Mc @ w)
-            lam, w = _polish_eigenpair(Kc, Mc, lam, w)
-            resid = eig_residual(Kc, Mc, lam, w)
+            resid, lam, w = _polish_eigenpair(Kc, Mc, lam, w)
             if resid > EIG_RESIDUAL_TOL:
                 raise NumericalError(
                     f"eigenpair residual {resid:.3e} above tolerance (the float64 "

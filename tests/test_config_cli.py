@@ -11,6 +11,7 @@ from statorlab.config import (DEFAULT_CONFIG, apply_overrides, default_config,
 from statorlab.errors import ConfigError
 
 LIGHT = ["--set", "modal.n_max=2", "--set", "modal.radial_nodes=48"]
+HUGE = 10 ** 400                     # 401 digits, past the float64 range
 
 
 def test_default_config_is_isolated():
@@ -101,6 +102,23 @@ def test_damping_overrides_reach_material():
     ("analysis.strobe_phases_deg=[0,30,300]", "less than 180 deg apart"),
     ("analysis.strobe_phases_deg=[0,200,400]", "less than 180 deg apart"),
     ("analysis.strobe_phases_deg=[0,30,360]", "less than 180 deg apart"),
+    # JSON admits NaN, Infinity and integers beyond the float64 range
+    ("drive.duration=NaN", "drive.duration: expected a finite number"),
+    ("drive.dt=NaN", "drive.dt: expected a finite number"),
+    ("optics.wavelength=NaN", "optics.wavelength: expected a finite number"),
+    ("modal.calibration_target_hz=Infinity",
+     "modal.calibration_target_hz: expected a finite number"),
+    ("image.margin=Infinity", "image.margin: expected a finite number"),
+    ("analysis.probe_theta=NaN", "analysis.probe_theta: expected a finite"),
+    ("analysis.strobe_phases_deg=[0,NaN,60,90]", "list of finite strobe"),
+    pytest.param(f"drive.duration={HUGE}", "drive.duration: expected a finite",
+                 id="drive.duration=<401 digits>"),
+    pytest.param(f"geometry.notch_count={HUGE}",
+                 "geometry.notch_count: expected an integer in float64 range",
+                 id="geometry.notch_count=<401 digits>"),
+    pytest.param(f"analysis.probe_theta={HUGE}",
+                 "analysis.probe_theta: expected a finite",
+                 id="analysis.probe_theta=<401 digits>"),
 ])
 def test_validate_config_rejections(override, fragment):
     cfg = apply_overrides(default_config(), [override])
@@ -114,6 +132,14 @@ def test_cli_config_error_exit(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "config error:" in err and "geometry.inner_radius" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_non_finite_number_is_config_error(tmp_path, capsys):
+    rc = main(["respond", "--out", str(tmp_path / "o"),
+               "--set", "drive.duration=NaN"])
+    assert rc == 2
+    assert "config error: drive.duration" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
