@@ -129,8 +129,8 @@ class ModalTrajectory:
     drive: DriveConfig
     alpha: np.ndarray = field(repr=False)
     wd: np.ndarray = field(repr=False)
-    # grid -> (modes, shapes on the grid's masked samples); never copied by
-    # dataclasses.replace
+    # grid -> (modes, shapes on the grid's masked samples, row of each mode
+    # by id); never copied by dataclasses.replace
     _shape_tables: dict = field(default_factory=dict, init=False, repr=False,
                                 compare=False)
 
@@ -172,17 +172,27 @@ class ModalTrajectory:
     def _shapes_on(self, grid, modes: tuple) -> np.ndarray:
         """Shapes of ``modes`` on the masked samples of ``grid``.
 
-        Built once per grid; a request for other modes (another live set
-        or another basis) rebuilds the grid's table.
+        Built once per grid.  Modes that are all in the grid's table (the
+        same objects) are served from its rows, which are bit-identical to
+        a fresh evaluation; any other request (a mode outside the table, or
+        another basis) rebuilds the table for the requested modes.
         """
         built = self._shape_tables.get(grid)
-        if (built is None or len(built[0]) != len(modes)
-                or any(a is not b for a, b in zip(built[0], modes))):
-            mask = grid.mask
-            built = (modes,
-                     _mode_shapes_on(modes, grid.r[mask], grid.theta[mask]))
-            self._shape_tables[grid] = built
-        return built[1]
+        if built is not None:
+            table_modes, shapes, rows = built
+            if len(table_modes) == len(modes) and all(
+                    a is b for a, b in zip(table_modes, modes)):
+                return shapes
+            # the table holds its modes, so an id found in ``rows`` is the
+            # very object the row was built from
+            index = [rows.get(id(m)) for m in modes]
+            if None not in index:
+                return shapes[index]
+        mask = grid.mask
+        shapes = _mode_shapes_on(modes, grid.r[mask], grid.theta[mask])
+        self._shape_tables[grid] = (modes, shapes,
+                                    {id(m): i for i, m in enumerate(modes)})
+        return shapes
 
 
 def respond(basis: ModalBasis, drive: DriveConfig, duration: float,

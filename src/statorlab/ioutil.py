@@ -61,8 +61,10 @@ def write_csv(path, header, rows):
 
 
 def _csv_cell(value):
-    if isinstance(value, float):
-        return repr(value)
+    """A float as its shortest repr; a numpy float loses its ``np.float64(...)``
+    wrapper on the way."""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     return value
 
 
@@ -104,10 +106,7 @@ def write_field_f32(path, values: np.ndarray, meta: dict):
     """
     lines = [FIELD_MAGIC]
     for key in sorted(meta):
-        value = meta[key]
-        if isinstance(value, float):
-            value = repr(value)
-        lines.append(f"{key} {value}")
+        lines.append(f"{key} {_csv_cell(meta[key])}")
     shape = "x".join(str(s) for s in values.shape)
     lines.append(f"shape {shape}")
     lines.append("dtype <f4")

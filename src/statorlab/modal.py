@@ -23,10 +23,15 @@ LAPACK's eigenpairs are polished and gated in extended precision: one
 routine, ``_extended_residual``, evaluates ``K w``, ``M w`` and the
 relative residual in ``np.longdouble`` once per iterate, and the gate
 (``EIG_RESIDUAL_TOL``) reads the residual of the polish's best iterate.
+Each 4x4 element block shares its two end DOFs with the next element, so K
+and M are banded with half-bandwidth 3: the polish converts only their 7
+diagonals to long double and forms ``K w`` and ``M w`` from them in
+O(7 ndof) instead of O(ndof^2).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import warnings
 from dataclasses import dataclass, replace
@@ -38,6 +43,9 @@ from .errors import DiscretizationError, DomainError, NumericalError
 from .geometry import EffectivePlate
 
 EIG_RESIDUAL_TOL = 1e-8
+# K and M couple DOFs at most 3 apart: an element's 4 DOFs (W, W' at both
+# ends) span offsets 0..3, and neighbouring elements share 2 of them
+_HALF_BANDWIDTH = 3
 # 3-point Gauss-Legendre rule on [-1, 1]: exact for Mode.radial_moment's
 # degree-4 integrand
 _MOMENT_XI, _MOMENT_W = np.polynomial.legendre.leggauss(3)
@@ -119,6 +127,16 @@ def _hermite(xi: np.ndarray, h: np.ndarray | float):
     return N, dN, d2N
 
 
+@functools.lru_cache(maxsize=8)
+def _gauss_rule(order: int):
+    """Gauss-Legendre points and weights of ``order`` mapped to [0, 1]."""
+    xi, w = np.polynomial.legendre.leggauss(order)
+    xi, w = 0.5 * (xi + 1.0), 0.5 * w
+    xi.setflags(write=False)
+    w.setflags(write=False)
+    return xi, w
+
+
 def _assemble_full(plate: EffectivePlate, n: int, disc: Discretization):
     """Assemble (K, M, nodes) on the active domain, clamp not yet applied.
 
@@ -128,9 +146,7 @@ def _assemble_full(plate: EffectivePlate, n: int, disc: Discretization):
     """
     nodes = _active_mesh(plate, disc)
     ndof = 2 * nodes.size
-    xi_q, w_q = np.polynomial.legendre.leggauss(disc.quadrature_order)
-    xi_q = 0.5 * (xi_q + 1.0)          # map to [0, 1]
-    w_q = 0.5 * w_q
+    xi_q, w_q = _gauss_rule(disc.quadrature_order)
     nu = plate.poisson_ratio
     cn = harmonic_weight(n)
 
@@ -379,15 +395,37 @@ class ModalBasis:
                           self.default_damping, self.damping_overrides)
 
 
-def _extended_residual(Kl: np.ndarray, Ml: np.ndarray, lam: float, w: np.ndarray):
+def _band(A: np.ndarray, half_bandwidth: int) -> tuple:
+    """Diagonals ``-half_bandwidth .. half_bandwidth`` of ``A`` in long double."""
+    return tuple(np.diagonal(A, d).astype(np.longdouble)
+                 for d in range(-half_bandwidth, half_bandwidth + 1))
+
+
+def _band_matvec(band: tuple, w: np.ndarray) -> np.ndarray:
+    """``A @ w`` from ``_band(A, ...)`` for an ``A`` that is zero off the band.
+
+    The diagonals are added in ascending column order, as a dense product
+    accumulates each row; the products it skips are exact zeros, so the
+    result is the dense one bit for bit.
+    """
+    out = np.zeros_like(w)
+    for d, diag in enumerate(band, start=-(len(band) // 2)):
+        if d < 0:
+            out[-d:] += diag * w[:d]
+        else:
+            out[:w.size - d] += diag * w[d:]
+    return out
+
+
+def _extended_residual(Kb: tuple, Mb: tuple, lam: float, w: np.ndarray):
     """||K w - lam M w|| / ||K w|| with ``w``, ``K w`` and ``M w`` in long double.
 
-    ``Kl`` and ``Ml`` are K and M already converted to ``np.longdouble``.
-    Returns ``(residual, w, K w, M w)``, the last three in long double, so
-    a caller can reuse this iterate's products.
+    ``Kb`` and ``Mb`` are the long-double diagonals of K and M from
+    ``_band``.  Returns ``(residual, w, K w, M w)``, the last three in long
+    double, so a caller can reuse this iterate's products.
     """
     wl = w.astype(np.longdouble)
-    Kw, Mw = Kl @ wl, Ml @ wl
+    Kw, Mw = _band_matvec(Kb, wl), _band_matvec(Mb, wl)
     r = Kw - np.longdouble(lam) * Mw
     return float(np.linalg.norm(r) / np.linalg.norm(Kw)), wl, Kw, Mw
 
@@ -397,10 +435,11 @@ def eig_residual(K: np.ndarray, M: np.ndarray, lam: float, w: np.ndarray) -> flo
 
     Plain float64 evaluation of ``K @ w`` rounds at ~eps*||K||*||w||, which
     for the lowest modes of a stiff plate swamps the true residual; the
-    80-bit accumulation keeps the measurement out of the gate.
+    80-bit accumulation keeps the measurement out of the gate.  Every
+    diagonal is used, so K and M need not be banded.
     """
-    return _extended_residual(K.astype(np.longdouble), M.astype(np.longdouble),
-                              lam, w)[0]
+    full = K.shape[0] - 1
+    return _extended_residual(_band(K, full), _band(M, full), lam, w)[0]
 
 
 def _polish_eigenpair(K: np.ndarray, M: np.ndarray, lam: float, w: np.ndarray):
@@ -412,14 +451,15 @@ def _polish_eigenpair(K: np.ndarray, M: np.ndarray, lam: float, w: np.ndarray):
     applies a float64 correction solve with a slightly offset shift (the
     near-singularity of K - 0.99 lam M is what makes inverse iteration
     work, so the ill-conditioning warning is suppressed, not a defect).
-    K and M are converted to long double once; each iterate costs one
-    ``_extended_residual``, i.e. two long-double matrix-vector products.
+    K and M must be the banded Hermite matrices (half-bandwidth 3): only
+    their 7 diagonals are converted to long double, once, and each iterate
+    costs one ``_extended_residual``, i.e. two band products of O(7 ndof).
 
     Returns ``(residual, lam, w)`` of the iterate with the smallest
     residual, the residual being ``eig_residual(K, M, lam, w)``.
     """
-    Kl, Ml = K.astype(np.longdouble), M.astype(np.longdouble)
-    score, wl, Kw, Mw = _extended_residual(Kl, Ml, lam, w)
+    Kb, Mb = _band(K, _HALF_BANDWIDTH), _band(M, _HALF_BANDWIDTH)
+    score, wl, Kw, Mw = _extended_residual(Kb, Mb, lam, w)
     best = (score, lam, w)
     for _ in range(3):
         lam = float((wl @ Kw) / (wl @ Mw))
@@ -432,7 +472,7 @@ def _polish_eigenpair(K: np.ndarray, M: np.ndarray, lam: float, w: np.ndarray):
                 break
         w = w - d
         w = w / np.sqrt(w @ M @ w)
-        score, wl, Kw, Mw = _extended_residual(Kl, Ml, lam, w)
+        score, wl, Kw, Mw = _extended_residual(Kb, Mb, lam, w)
         if score < best[0]:
             best = (score, lam, w)
         if score < 0.5 * EIG_RESIDUAL_TOL:
@@ -539,14 +579,26 @@ def basis_table(basis: ModalBasis) -> list:
 
 
 def format_radial_profiles(basis: ModalBasis) -> str:
-    """Structured text dump of the radial profiles (binary-free)."""
+    """Structured text dump of the radial profiles (binary-free).
+
+    Each mesh's radii are formatted once and each distinct profile on it
+    once, so a cos/sin pair shares one block of ``r W dW/dr`` lines.
+    """
     lines = [f"# statorlab radial profiles, provenance {basis.provenance}",
              f"# modes {len(basis)}  radial_nodes {basis.discretization.radial_nodes}"]
+    radii, blocks = {}, {}
     for m in basis:
+        mesh = m.radial_nodes.tobytes()
+        if mesh not in radii:
+            radii[mesh] = [repr(r) for r in m.radial_nodes.tolist()]
+        key = (mesh, m.radial_values.tobytes(), m.radial_slopes.tobytes())
+        if key not in blocks:
+            blocks[key] = "\n".join(
+                f"{r} {v!r} {s!r}" for r, v, s in zip(
+                    radii[mesh], m.radial_values.tolist(), m.radial_slopes.tolist()))
         lines.append(f"mode n={m.n} orientation={m.orientation} family={m.family} "
                      f"frequency_hz={m.frequency!r} boundary={m.boundary}")
         lines.append("r_m W dW_dr")
-        for r, v, s in zip(m.radial_nodes, m.radial_values, m.radial_slopes):
-            lines.append(f"{r!r} {v!r} {s!r}")
+        lines.append(blocks[key])
         lines.append("")
     return "\n".join(lines) + "\n"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from statorlab import reference
-from statorlab.cli import main
+from statorlab.cli import _solve_basis, main
 from statorlab.config import (DEFAULT_CONFIG, apply_overrides, default_config,
                               deep_merge, load_config, validate_config)
 from statorlab.errors import ConfigError
@@ -186,6 +186,9 @@ def test_cli_each_stage_writes_its_files(tmp_path):
         out = tmp_path / stage
         assert main([stage, "--out", str(out), *light]) == 0
         assert {p.name for p in out.iterdir()} == expected
+        for path in out.iterdir():
+            if path.suffix in (".txt", ".csv"):
+                assert "np." not in path.read_text(), path.name
     assert sum(map(len, STAGE_FILES.values())) == 13
 
 
@@ -200,6 +203,30 @@ def test_cli_modes_outputs(tmp_path, capsys):
     profiles = (out / "radial_profiles.txt").read_text()
     assert "n=1" in profiles
     assert "3680.00 Hz" in capsys.readouterr().out
+
+
+def test_cli_radial_profiles_are_plain_floats(tmp_path):
+    out = tmp_path / "run"
+    assert main(["modes", "--out", str(out), *LIGHT]) == 0
+    plan = validate_config(apply_overrides(default_config(), LIGHT[1::2]))
+    modes = iter(_solve_basis(plan))
+    rows = mode = None
+    for line in (out / "radial_profiles.txt").read_text().splitlines():
+        if line.startswith("mode n="):
+            mode = next(modes)
+            assert line.startswith(f"mode n={mode.n} orientation={mode.orientation} ")
+            rows = []
+        elif line == "":
+            table = np.array(rows)
+            assert np.array_equal(table[:, 0], mode.radial_nodes)
+            assert np.array_equal(table[:, 1], mode.radial_values)
+            assert np.array_equal(table[:, 2], mode.radial_slopes)
+            rows = None
+        elif rows is not None and line != "r_m W dW_dr":
+            fields = line.split(" ")
+            assert len(fields) == 3, line
+            rows.append([float(f) for f in fields])
+    assert next(modes, None) is None
 
 
 def test_cli_out_precedence(tmp_path, monkeypatch):

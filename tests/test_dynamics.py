@@ -379,6 +379,32 @@ def test_shapes_evaluated_once_per_trajectory_and_grid(basis, drive,
     assert calls == [2, 2]
 
 
+def test_alternating_live_sets_share_one_table(basis, drive, monkeypatch):
+    calls = []
+    evaluate = dynamics._mode_shapes_on
+
+    def counted(modes, r, theta):
+        calls.append(len(modes))
+        return evaluate(modes, r, theta)
+
+    monkeypatch.setattr(dynamics, "_mode_shapes_on", counted)
+    rng = np.random.default_rng(11)
+    initial = 1e-9 * (rng.standard_normal(len(basis))
+                      + 1j * rng.standard_normal(len(basis)))
+    # the steady envelope has the 2 driven modes live, a strobe all 14
+    traj = respond(basis, drive, duration=4e-3, initial=initial)
+    ring = GRIDS[1]
+    renders = [lambda t: field_envelope(basis, t, ring),
+               lambda t: snapshot_at_strobe(basis, t, ring, 30.0)] * 2
+    got = [render(traj).values for render in renders]
+    assert calls == [2, 14]
+    # a copy of the trajectory starts with no table, so each render builds
+    # one for exactly its own modes
+    for render, values in zip(renders, got):
+        assert np.array_equal(values, render(dataclasses.replace(traj)).values)
+    assert calls == [2, 14, 2, 14, 2, 14]
+
+
 def test_shape_table_belongs_to_one_trajectory_and_basis(basis, drive):
     traj = respond(basis, drive, duration=4e-3)
     grid = GRIDS[1]
