@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -115,12 +116,27 @@ def _write_and_print(plan, name: str, text: str) -> None:
     print(text, end="")
 
 
-def _strobe_pair(basis, traj, grid, optics, a_deg, b_deg, rng):
-    """Stroboscopic phase map between the strobe instants a_deg and b_deg."""
-    return holography.stroboscopic(
-        snapshot_at_strobe(basis, traj, grid, a_deg),
-        snapshot_at_strobe(basis, traj, grid, b_deg),
-        optics, strobe_phases=(a_deg, b_deg), rng=rng)
+def _strobe_pair(basis, traj, grid, optics, a_deg, b_deg, rng, band):
+    """Stroboscopic phase map between the strobe instants a_deg and b_deg.
+
+    Warns when a driven mode's transient |C| e^{-alpha t} at the earlier
+    instant is above ``band`` of its steady amplitude |Q|: the strobes
+    then see a state that has not settled.
+    """
+    a = snapshot_at_strobe(basis, traj, grid, a_deg)
+    b = snapshot_at_strobe(basis, traj, grid, b_deg)
+    driven = traj.steady != 0.0
+    Q = traj.steady[driven]
+    transient = (np.abs(traj.q[driven, 0] - Q)
+                 * np.exp(-traj.alpha[driven] * min(a.time, b.time)))
+    left = float(np.max(transient / np.abs(Q), initial=0.0))
+    if left > band:
+        warnings.warn(
+            f"transient still {left:.1%} of the steady amplitude at the "
+            f"strobe instant (settling band {band:.1%}); the run has not "
+            "settled", RuntimeWarning, stacklevel=2)
+    return holography.stroboscopic(a, b, optics, strobe_phases=(a_deg, b_deg),
+                                   rng=rng)
 
 
 def cmd_modes(plan) -> int:
@@ -196,7 +212,8 @@ def cmd_fringes(plan) -> int:
     # stroboscopic pair at the configured offset for the driven harmonic
     offset = plan["analysis"]["strobe_offset_deg"]
     pmap = _strobe_pair(basis, traj, grid, optics, 0.0, offset,
-                        np.random.default_rng(plan["seed"]))
+                        np.random.default_rng(plan["seed"]),
+                        plan["analysis"]["settling_band"])
     stem = f"strobe_md{drive.electrode_harmonic}_{0:g}d_{offset:g}d"
     ioutil.write_pgm(_outpath(plan, stem + ".pgm"),
                      ioutil.phase_to_unit(pmap.phase), pmap.mask)
@@ -220,7 +237,7 @@ def cmd_fit(plan) -> int:
     fits = []
     for s_deg in ana["strobe_phases_deg"]:
         pmap = _strobe_pair(basis, traj, ring, optics, s_deg, s_deg + offset,
-                            rng)
+                            rng, ana["settling_band"])
         diff = holography.unwrap_to_displacement(pmap, optics)
         sample = analysis.CircleSample.from_field(diff, source="hologram")
         n = analysis.detect_mode_number(sample)

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -312,3 +313,20 @@ def test_build_report_self_comparison():
     gap, mode, unit = reference.embedded_max_gap()
     assert gap == pytest.approx(12.607, abs=5e-3)
     assert (mode, unit) == ("Md2", "NPM2")
+
+
+def test_cli_unsettled_strobes_warn(tmp_path, capsys):
+    light = ["--set", "modal.n_max=4", "--set", "modal.radial_nodes=48",
+             "--set", "image.pixels=64"]
+    short = ["--set", "drive.duration=0.0008"]
+    for stage in ("fit", "fringes"):
+        with pytest.warns(RuntimeWarning, match="has not settled"):
+            assert main([stage, "--out", str(tmp_path / "short"), *light,
+                         *short]) == 0
+    # a state that has not settled still reads as a traveling wave: only
+    # the warning tells
+    assert "classification: traveling" in capsys.readouterr().out
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["fit", "--out", str(tmp_path / "default"), *light]) == 0
+    assert not [w for w in caught if "has not settled" in str(w.message)]

@@ -7,6 +7,8 @@
   ``phi`` by ``n * shift * dtheta`` (mod 2 pi), and ``c * v + o`` scales
   ``A`` by ``|c|``, maps ``delta`` to ``c * delta + o`` and turns ``phi``
   by pi when ``c < 0``.
+* Without phase noise, swapping the two strobe fields negates the wrapped
+  stroboscopic phase wherever it lies inside (-pi, pi).
 """
 
 import math
@@ -16,7 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statorlab.analysis import CircleSample, fit_eq1
-from statorlab.holography import _unwrap_closed, wrap_phase
+from statorlab.grids import DisplacementField, RingGrid
+from statorlab.holography import (OpticalConfig, _unwrap_closed, stroboscopic,
+                                  wrap_phase)
 
 PROPERTY = settings(max_examples=200, derandomize=True, deadline=None,
                     database=None)
@@ -101,3 +105,28 @@ def test_fit_scale_and_offset_equivariance(case, c, negative, offset):
                         abs_tol=1e-12 * scale)
     turn = math.pi if c < 0 else 0.0
     assert abs(_angle(moved.phi - base.phi - turn)) <= 1e-9 * scale / moved.A
+
+
+@st.composite
+def strobe_pairs(draw):
+    count = draw(st.integers(min_value=8, max_value=256))
+    # up to a micrometre: the phase difference wraps many times over
+    scale = draw(st.floats(min_value=1e-10, max_value=1e-6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ring = RingGrid(radius=12e-3, count=count)
+    return (DisplacementField(ring, scale * rng.standard_normal(count)),
+            DisplacementField(ring, scale * rng.standard_normal(count)))
+
+
+@PROPERTY
+@given(strobe_pairs())
+def test_swapped_strobes_negate_the_wrapped_phase(fields):
+    a, b = fields
+    optics = OpticalConfig(noise_sigma=0.0)
+    ab = stroboscopic(a, b, optics).phase
+    ba = stroboscopic(b, a, optics).phase
+    # wrap_phase rounds x - pi and x + pi; the two calls may round apart
+    tol = 4.0 * np.finfo(float).eps * (
+        optics.sensitivity_factor * np.abs(b.values - a.values) + math.pi)
+    inside = np.abs(ab) < math.pi - tol
+    assert np.all(np.abs(ba + ab)[inside] <= tol[inside])
