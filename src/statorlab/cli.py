@@ -268,12 +268,9 @@ def cmd_fit(plan) -> int:
 
 def cmd_report(plan) -> int:
     basis = _solve_basis(plan)
-    computed = []
-    for n in range(1, 8):
-        try:
-            computed.append(basis.frequency_for(n))
-        except StatorLabError:
-            break
+    solved = basis.harmonics()
+    computed = [basis.frequency_for(n) if n in solved else None
+                for n in range(1, 8)]
     _write_and_print(plan, "report.txt", reference.build_report(computed))
     return 0
 

@@ -65,10 +65,10 @@ def _cell(value, width=9):
 def build_report(computed_hz) -> str:
     """Comparison table of computed frequencies against all reference rows.
 
-    ``computed_hz`` lists the lowest-family frequencies for Md1 upward
-    (shorter lists leave trailing modes blank).
+    ``computed_hz`` lists the lowest-family frequencies for Md1 upward;
+    a None entry, or a list shorter than seven, leaves that mode blank.
     """
-    computed_khz = [f / 1e3 for f in computed_hz]
+    computed_khz = [None if f is None else f / 1e3 for f in computed_hz]
     lines = [
         "stator eigenfrequency reproduction report",
         f"reference dataset: {REFERENCE_VERSION}",

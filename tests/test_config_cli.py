@@ -303,6 +303,18 @@ def test_cli_report(tmp_path, capsys):
     assert md5_row.split()[1] == "-"
 
 
+def test_cli_report_from_a_higher_first_harmonic(tmp_path):
+    out = tmp_path / "rep"
+    assert main(["report", "--out", str(out), *LIGHT, "--set",
+                 "modal.n_min=2", "--set", "modal.n_max=4"]) == 0
+    rows = {l.split()[0]: l.split()[1]
+            for l in (out / "report.txt").read_text().splitlines()
+            if l.startswith("Md")}
+    assert [rows[f"Md{n}"] for n in (1, 5, 6, 7)] == ["-"] * 4
+    for n in (2, 3, 4):
+        assert float(rows[f"Md{n}"]) > 0.0
+
+
 def test_build_report_self_comparison():
     text = reference.build_report([k * 1e3 for k in reference.SIMULATION_KHZ])
     sim_devs = [line.split()[3] for line in text.splitlines()

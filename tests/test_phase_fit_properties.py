@@ -9,6 +9,8 @@
   by pi when ``c < 0``.
 * Without phase noise, swapping the two strobe fields negates the wrapped
   stroboscopic phase wherever it lies inside (-pi, pi).
+* A traveling wave seen at strobe phases whose sorted gaps are all under
+  180 degrees classifies as traveling, in either direction.
 """
 
 import math
@@ -17,7 +19,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statorlab.analysis import CircleSample, fit_eq1
+from statorlab.analysis import (CircleSample, FitResult, fit_eq1,
+                                track_strobe_phase)
 from statorlab.grids import DisplacementField, RingGrid
 from statorlab.holography import (OpticalConfig, _unwrap_closed, stroboscopic,
                                   wrap_phase)
@@ -130,3 +133,29 @@ def test_swapped_strobes_negate_the_wrapped_phase(fields):
         optics.sensitivity_factor * np.abs(b.values - a.values) + math.pi)
     inside = np.abs(ab) < math.pi - tol
     assert np.all(np.abs(ba + ab)[inside] <= tol[inside])
+
+
+@st.composite
+def traveling_sweeps(draw):
+    n = draw(st.integers(min_value=1, max_value=7))
+    direction = draw(st.sampled_from([-1.0, 1.0]))
+    A = draw(st.floats(min_value=1e-9, max_value=1e-6))
+    phi0 = draw(st.floats(min_value=-math.pi, max_value=math.pi))
+    start = draw(st.floats(min_value=-360.0, max_value=360.0))
+    gaps = draw(st.lists(st.floats(min_value=1.0, max_value=179.9),
+                         min_size=2, max_size=8))
+    strobes = start + np.concatenate([[0.0], np.cumsum(gaps)])
+    fits = []
+    for deg in strobes:
+        # the fitted phase of a traveling wave turns with the strobe phase
+        phi = float(wrap_phase(phi0 + direction * math.radians(deg)))
+        fits.append((float(deg), FitResult(A=A, n=n, phi=phi, delta=0.0,
+                                           rms_residual=0.0,
+                                           covariance=(0.0,) * 4)))
+    return draw(st.permutations(fits))
+
+
+@PROPERTY
+@given(traveling_sweeps())
+def test_gaps_under_180_degrees_track_a_traveling_wave(fits):
+    assert track_strobe_phase(fits).classification == "traveling"
