@@ -20,7 +20,8 @@ Only driven modes cost anything: ``respond`` evaluates the rows whose
 steady or transient term is non-zero, and a field render contracts over
 the modes whose state is non-zero.  Each trajectory keeps the shapes of
 those modes per grid, so its envelope and its strobe snapshots on one grid
-evaluate them once.
+evaluate them once, and W(r) is evaluated once per distinct radius of the
+grid.
 """
 
 from __future__ import annotations
@@ -172,10 +173,12 @@ class ModalTrajectory:
     def _shapes_on(self, grid, modes: tuple) -> np.ndarray:
         """Shapes of ``modes`` on the masked samples of ``grid``.
 
-        Built once per grid.  Modes that are all in the grid's table (the
-        same objects) are served from its rows, which are bit-identical to
-        a fresh evaluation; any other request (a mode outside the table, or
-        another basis) rebuilds the table for the requested modes.
+        Built once per grid by ``_mode_shapes_on``, which evaluates W(r)
+        once per distinct radius of the grid.  Modes that are all in the
+        grid's table (the same objects) are served from its rows, which are
+        bit-identical to a fresh evaluation; any other request (a mode
+        outside the table, or another basis) rebuilds the table for the
+        requested modes.
         """
         built = self._shape_tables.get(grid)
         if built is not None:
@@ -188,8 +191,7 @@ class ModalTrajectory:
             index = [rows.get(id(m)) for m in modes]
             if None not in index:
                 return shapes[index]
-        mask = grid.mask
-        shapes = _mode_shapes_on(modes, grid.r[mask], grid.theta[mask])
+        shapes = _mode_shapes_on(modes, grid)
         self._shape_tables[grid] = (modes, shapes,
                                     {id(m): i for i, m in enumerate(modes)})
         return shapes
@@ -235,14 +237,17 @@ def respond(basis: ModalBasis, drive: DriveConfig, duration: float,
     E = np.exp(1.0j * drive.omega * times)
     # undriven modes at rest stay exactly zero
     live = (Q != 0.0) | (C != 0.0)
-    q = np.zeros((len(basis), times.size), dtype=complex)
-    q[live] = (Q[live, None] * E + C[live, None]
-               * np.exp(np.outer(-alpha[live] + 1.0j * wd[live], times)))
+    q_live = (Q[live, None] * E + C[live, None]
+              * np.exp(np.outer(-alpha[live] + 1.0j * wd[live], times)))
 
-    # |q| <= |Q| + |C| e^{-alpha t}: any excursion past that is a bug
-    cap = np.abs(Q) + np.abs(C)
-    if np.any(np.abs(q).max(axis=1) > cap * (1.0 + ENVELOPE_BOUND_SLACK) + 1e-300):
+    # |q| <= |Q| + |C| e^{-alpha t}: any excursion past that is a bug (the
+    # zero rows of dead modes cannot exceed it)
+    cap = np.abs(Q[live]) + np.abs(C[live])
+    if np.any(np.abs(q_live).max(axis=1) > cap * (1.0 + ENVELOPE_BOUND_SLACK)
+              + 1e-300):
         raise NumericalError("modal amplitude exceeded its analytic bound")
+    q = np.zeros((len(basis), times.size), dtype=complex)
+    q[live] = q_live
     return ModalTrajectory(times=times, q=q, steady=Q, basis=basis,
                            drive=drive, alpha=alpha, wd=wd)
 
@@ -291,9 +296,19 @@ def calibrate_force_per_volt(basis: ModalBasis, drive: DriveConfig,
     return needed_force / (0.5 * drive.peak_to_peak_voltage * math.pi * moment)
 
 
-def _mode_shapes_on(modes, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Stack of the shapes of ``modes`` evaluated at flat (r, theta) arrays."""
-    return radial_shapes(modes, r) * np.stack([m.angular(theta) for m in modes])
+def _mode_shapes_on(modes, grid) -> np.ndarray:
+    """Shapes of ``modes`` on the masked samples of ``grid``, one row each.
+
+    W(r) is evaluated once per distinct radius (``grid.radii``) and
+    gathered to the samples through ``grid.radius_index``; each row is
+    then multiplied in place by its mode's angular pattern.  Every value
+    equals ``W(r) * angular(theta)`` evaluated sample by sample.
+    """
+    shapes = radial_shapes(modes, grid.radii)[:, grid.radius_index]
+    theta = grid.theta[grid.mask]
+    for row, m in zip(shapes, modes):
+        row *= m.angular(theta)
+    return shapes
 
 
 def _render(basis: ModalBasis, trajectory: ModalTrajectory, grid,

@@ -1,7 +1,12 @@
 """Sampling grids and displacement fields.
 
 Two grid flavors share one duck-typed surface (``r``, ``theta``, ``mask``,
-``shape`` plus a ``describe()`` metadata dict):
+``shape`` plus a ``describe()`` metadata dict).  ``radii`` holds the
+distinct radii of the masked samples in ascending order and
+``radius_index`` each masked sample's position in it, so
+``radii[radius_index]`` is ``r[mask]``; a function of the radius alone is
+evaluated once per distinct radius.  None of these arrays take part in
+equality, hashing or ``describe()``:
 
 * ``RasterGrid``: a square camera-style image in Cartesian pixel layout,
   with polar coordinates precomputed per pixel and an annulus validity
@@ -36,6 +41,8 @@ class RasterGrid:
     r: np.ndarray = field(init=False, repr=False, compare=False)
     theta: np.ndarray = field(init=False, repr=False, compare=False)
     mask: np.ndarray = field(init=False, repr=False, compare=False)
+    radii: np.ndarray = field(init=False, repr=False, compare=False)
+    radius_index: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.inner_radius < self.outer_radius:
@@ -55,8 +62,12 @@ class RasterGrid:
         theta = np.mod(np.arctan2(y, x), 2.0 * np.pi)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "theta", np.broadcast_to(theta, r.shape).copy())
-        object.__setattr__(self, "mask",
-                           (r >= self.inner_radius) & (r <= self.outer_radius))
+        mask = (r >= self.inner_radius) & (r <= self.outer_radius)
+        object.__setattr__(self, "mask", mask)
+        # the square's eightfold symmetry repeats most radii
+        radii, index = np.unique(r[mask], return_inverse=True)
+        object.__setattr__(self, "radii", radii)
+        object.__setattr__(self, "radius_index", index)
 
     @property
     def shape(self):
@@ -87,6 +98,8 @@ class RingGrid:
     r: np.ndarray = field(init=False, repr=False, compare=False)
     theta: np.ndarray = field(init=False, repr=False, compare=False)
     mask: np.ndarray = field(init=False, repr=False, compare=False)
+    radii: np.ndarray = field(init=False, repr=False, compare=False)
+    radius_index: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.radius <= 0.0:
@@ -94,9 +107,13 @@ class RingGrid:
         if self.count < 8:
             raise DomainError(f"ring sample count must be >= 8, got {self.count}")
         theta = 2.0 * np.pi * np.arange(self.count) / self.count
+        r = np.full(self.count, self.radius)
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "r", np.full(self.count, self.radius))
+        object.__setattr__(self, "r", r)
         object.__setattr__(self, "mask", np.ones(self.count, dtype=bool))
+        object.__setattr__(self, "radii", r[:1].copy())
+        object.__setattr__(self, "radius_index",
+                           np.zeros(self.count, dtype=np.intp))
 
     @property
     def shape(self):
@@ -144,9 +161,14 @@ class DisplacementField:
                                  self.time, self.label)
 
 
-def bilinear_sample(grid: RasterGrid, values: np.ndarray,
-                    r, theta) -> np.ndarray:
-    """Sample a raster array at polar points via bilinear interpolation."""
+def _bilinear_stencil(grid: RasterGrid, r, theta):
+    """Bilinear stencil of a raster at polar points.
+
+    Returns ``(rows, cols, fr, fc)``: ``values[rows, cols]`` stacks the
+    four corner pixels of each point on a new leading axis, in the order
+    (r0, c0), (r0, c0 + 1), (r0 + 1, c0), (r0 + 1, c0 + 1), and ``fr``,
+    ``fc`` are the point's fractional offsets from its (r0, c0) corner.
+    """
     r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)
     x = r * np.cos(theta)
@@ -160,12 +182,23 @@ def bilinear_sample(grid: RasterGrid, values: np.ndarray,
     r0 = np.clip(np.floor(row).astype(int), 0, grid.pixels - 2)
     fc = np.clip(col - c0, 0.0, 1.0)
     fr = np.clip(row - r0, 0.0, 1.0)
-    v00 = values[r0, c0]
-    v01 = values[r0, c0 + 1]
-    v10 = values[r0 + 1, c0]
-    v11 = values[r0 + 1, c0 + 1]
+    rows = np.stack([r0, r0, r0 + 1, r0 + 1])
+    cols = np.stack([c0, c0 + 1, c0, c0 + 1])
+    return rows, cols, fr, fc
+
+
+def _bilinear_blend(corners: np.ndarray, fr, fc) -> np.ndarray:
+    """Interpolate stacked corner values with the stencil's offsets."""
+    v00, v01, v10, v11 = corners
     return ((1 - fr) * ((1 - fc) * v00 + fc * v01)
             + fr * ((1 - fc) * v10 + fc * v11))
+
+
+def bilinear_sample(grid: RasterGrid, values: np.ndarray,
+                    r, theta) -> np.ndarray:
+    """Sample a raster array at polar points via bilinear interpolation."""
+    rows, cols, fr, fc = _bilinear_stencil(grid, r, theta)
+    return _bilinear_blend(values[rows, cols], fr, fc)
 
 
 def circle_values(fld: DisplacementField, radius: float | None = None,

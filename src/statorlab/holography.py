@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UnwrapError
-from .grids import (DisplacementField, RasterGrid, RingGrid, bilinear_sample,
-                    require_same_grid)
+from .grids import (DisplacementField, RasterGrid, RingGrid, _bilinear_blend,
+                    _bilinear_stencil, require_same_grid)
 
 
 @dataclass(frozen=True)
@@ -276,7 +276,8 @@ def unwrap_to_displacement(pmap: PhaseMap, optics: OpticalConfig,
 
     Ring-grid maps unwrap in place; raster maps need a ``radius`` and are
     sampled as interpolated phasors (interpolating cos/sin rather than
-    the wrapped angle keeps branch cuts out of the interpolation).
+    the wrapped angle keeps branch cuts out of the interpolation); the
+    phasor is formed only at the pixels the bilinear stencil reads.
     Returns the difference field in meters on a ring grid.
     """
     grid = pmap.grid
@@ -294,8 +295,10 @@ def unwrap_to_displacement(pmap: PhaseMap, optics: OpticalConfig,
             f"[{grid.inner_radius}, {grid.outer_radius}]")
     count = count or 360
     ring = RingGrid(radius=radius, count=count)
-    coss = bilinear_sample(grid, np.cos(pmap.phase), ring.r, ring.theta)
-    sins = bilinear_sample(grid, np.sin(pmap.phase), ring.r, ring.theta)
+    rows, cols, fr, fc = _bilinear_stencil(grid, ring.r, ring.theta)
+    corners = pmap.phase[rows, cols]
+    coss = _bilinear_blend(np.cos(corners), fr, fc)
+    sins = _bilinear_blend(np.sin(corners), fr, fc)
     sampled = np.arctan2(sins, coss)
     sampled[sampled <= -math.pi] = math.pi
     u = _unwrap_closed(sampled, f"circle r={radius:.6g} m")

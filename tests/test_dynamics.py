@@ -10,8 +10,9 @@ from statorlab.dynamics import (DriveConfig, ExternalMode, _mode_constants,
                                 lorentzian_weight, mixed_response, probe,
                                 respond, settling_damping_ratio,
                                 snapshot_at_strobe)
-from statorlab.errors import DomainError, TimeStepError
+from statorlab.errors import DomainError, NumericalError, TimeStepError
 from statorlab.grids import RasterGrid, RingGrid
+from statorlab.modal import radial_shapes
 
 
 @pytest.fixture(scope="module")
@@ -354,14 +355,42 @@ def test_undriven_rows_are_exact_zeros(basis, drive, traj):
     assert rest._shape_tables == {}
 
 
+@pytest.mark.parametrize("grid", [
+    RasterGrid(inner_radius=3.75e-3, outer_radius=15e-3, pixels=64),
+    RasterGrid(inner_radius=3.75e-3, outer_radius=15e-3, pixels=256),
+    RasterGrid(inner_radius=3.75e-3, outer_radius=15e-3, pixels=384),
+    RingGrid(radius=14e-3, count=90)], ids=["64px", "256px", "384px", "ring"])
+def test_shapes_per_distinct_radius_equal_per_sample_formula(basis, grid):
+    mask = grid.mask
+    r, theta = grid.r[mask], grid.theta[mask]
+    for modes in (tuple(basis.select(4)), tuple(basis.modes)):
+        per_sample = radial_shapes(modes, r) * np.stack(
+            [m.angular(theta) for m in modes])
+        assert np.array_equal(dynamics._mode_shapes_on(modes, grid),
+                              per_sample)
+
+
+def test_envelope_bound_guard_catches_a_growing_transient(basis, drive,
+                                                          monkeypatch):
+    constants = dynamics._mode_constants
+
+    def growing(*args):
+        alpha, wd, Q, C = constants(*args)
+        return -alpha, wd, Q, C
+
+    monkeypatch.setattr(dynamics, "_mode_constants", growing)
+    with pytest.raises(NumericalError, match="exceeded its analytic bound"):
+        respond(basis, drive, duration=4e-3)
+
+
 def test_shapes_evaluated_once_per_trajectory_and_grid(basis, drive,
                                                        monkeypatch):
     calls = []
     evaluate = dynamics._mode_shapes_on
 
-    def counted(modes, r, theta):
+    def counted(modes, grid):
         calls.append(len(modes))
-        return evaluate(modes, r, theta)
+        return evaluate(modes, grid)
 
     monkeypatch.setattr(dynamics, "_mode_shapes_on", counted)
     traj = respond(basis, drive, duration=4e-3)
@@ -383,9 +412,9 @@ def test_alternating_live_sets_share_one_table(basis, drive, monkeypatch):
     calls = []
     evaluate = dynamics._mode_shapes_on
 
-    def counted(modes, r, theta):
+    def counted(modes, grid):
         calls.append(len(modes))
-        return evaluate(modes, r, theta)
+        return evaluate(modes, grid)
 
     monkeypatch.setattr(dynamics, "_mode_shapes_on", counted)
     rng = np.random.default_rng(11)

@@ -46,6 +46,42 @@ def test_ring_grid_basics():
         RingGrid(radius=1e-3, count=4)
 
 
+@pytest.mark.parametrize("margin", [1.0, 1.05])
+@pytest.mark.parametrize("pixels", [16, 64, 256, 384])
+def test_raster_distinct_radii(pixels, margin):
+    grid = RasterGrid(inner_radius=3.75e-3, outer_radius=15e-3,
+                      pixels=pixels, margin=margin)
+    masked = grid.r[grid.mask]
+    assert grid.radius_index.shape == masked.shape
+    assert np.array_equal(grid.radii[grid.radius_index], masked)
+    assert np.all(np.diff(grid.radii) > 0.0)
+    # the radius tables are derived data: describe, == and hash ignore them
+    assert grid.describe() == {"kind": "raster", "pixels": pixels,
+                               "extent_m": margin * 15e-3,
+                               "inner_radius_m": 3.75e-3,
+                               "outer_radius_m": 15e-3}
+    again = RasterGrid(inner_radius=3.75e-3, outer_radius=15e-3,
+                       pixels=pixels, margin=margin)
+    assert grid == again and hash(grid) == hash(again)
+    assert hash(grid) == hash((3.75e-3, 15e-3, pixels, margin))
+    assert grid != RasterGrid(inner_radius=3.75e-3, outer_radius=15e-3,
+                              pixels=pixels + 1, margin=margin)
+
+
+def test_ring_distinct_radii():
+    ring = RingGrid(radius=12e-3, count=90)
+    assert np.array_equal(ring.radii, [12e-3])
+    assert ring.radius_index.shape == (90,)
+    assert not ring.radius_index.any()
+    assert np.array_equal(ring.radii[ring.radius_index], ring.r[ring.mask])
+    assert ring.describe() == {"kind": "ring", "count": 90,
+                               "radius_m": 12e-3}
+    again = RingGrid(radius=12e-3, count=90)
+    assert ring == again and hash(ring) == hash(again)
+    assert hash(ring) == hash((12e-3, 90))
+    assert ring != RingGrid(radius=12e-3, count=91)
+
+
 def test_require_same_grid():
     a = RingGrid(radius=12e-3, count=90)
     b = RingGrid(radius=12e-3, count=91)

@@ -4,7 +4,8 @@ from scipy.special import j0, jn_zeros
 
 from statorlab import holography
 from statorlab.errors import DomainError, UnwrapError
-from statorlab.grids import DisplacementField, RasterGrid, RingGrid
+from statorlab.grids import (DisplacementField, RasterGrid, RingGrid,
+                             bilinear_sample)
 from statorlab.holography import (OpticalConfig, first_dark_fringe_amplitude,
                                   stroboscopic, time_averaged,
                                   unwrap_to_displacement, wrap_phase)
@@ -214,6 +215,28 @@ def test_unwrap_raster_route(optics):
         unwrap_to_displacement(pm, optics)
     with pytest.raises(DomainError):
         unwrap_to_displacement(pm, optics, radius=20e-3)
+
+
+@pytest.mark.parametrize("count", [360, 97])
+def test_unwrap_raster_equals_full_map_phasors(optics, count):
+    grid = RasterGrid(inner_radius=3.75e-3, outer_radius=15e-3, pixels=128)
+    amp = 3.0 / optics.sensitivity_factor
+    values = np.zeros(grid.shape)
+    m = grid.mask
+    values[m] = amp * np.sin(4 * grid.theta[m] + 0.3) * (grid.r[m] / 15e-3)
+    zero = DisplacementField(grid, np.zeros(grid.shape))
+    noisy = OpticalConfig(noise_sigma=0.05)
+    pm = stroboscopic(zero, DisplacementField(grid, values), noisy,
+                      rng=np.random.default_rng(3))
+    got = unwrap_to_displacement(pm, noisy, radius=12e-3, count=count)
+    # the cos/sin of the whole phase map, sampled, then the angle
+    ring = RingGrid(radius=12e-3, count=count)
+    coss = bilinear_sample(grid, np.cos(pm.phase), ring.r, ring.theta)
+    sins = bilinear_sample(grid, np.sin(pm.phase), ring.r, ring.theta)
+    sampled = np.arctan2(sins, coss)
+    sampled[sampled <= -np.pi] = np.pi
+    expected = holography._unwrap_closed(sampled, "reference")
+    assert np.array_equal(got.values, expected / noisy.sensitivity_factor)
 
 
 def test_phase_map_validation():
