@@ -13,15 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DomainError, NoModeError, SamplingError,
-                     UndefinedIndexError)
+from .errors import (STROBE_STEP_LIMIT_DEG, DomainError, NoModeError,
+                     SamplingError, UndefinedIndexError)
 from .grids import DisplacementField, circle_values
 
 AMPLITUDE_FLOOR = 1e-15     # m; below this a fitted sinusoid has no phase
-# the fitted phase moves one electrical degree per strobe degree, so a step
-# this wide between consecutive strobes aliases in the unwrap (and at
-# exactly 180 deg the direction of travel is lost)
-STROBE_STEP_LIMIT_DEG = 180.0
 
 
 @dataclass(frozen=True)

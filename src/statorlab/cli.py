@@ -10,7 +10,10 @@ Subcommands mirror the pipeline stages:
 
 Every stage solves the basis the same way; ``respond``, ``fringes`` and
 ``fit`` then share one driven-run setup (drive resolution and the modal
-trajectory) that finishes before any file is written.
+trajectory) that finishes before any file is written.  Each stage imports
+the layers past the modal one (dynamics, grids, holography, analysis,
+reference) inside the functions that call them, so a stage run in a fresh
+interpreter loads only the modules it uses.
 
 Exit codes: 0 success, 2 configuration error (inconsistent geometry or
 material included), 3 numerical/domain error.  The output directory
@@ -28,16 +31,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import __version__, analysis, holography, ioutil, reference
+from . import __version__, ioutil
 from .config import (apply_overrides, default_config, deep_merge, load_config,
                      validate_config)
-from .dynamics import (DriveConfig, calibrate_force_per_volt, field_envelope,
-                       probe, respond, settling_damping_ratio,
-                       snapshot_at_strobe)
 from .errors import ConfigError, StatorLabError
 from .geometry import homogenize
-from .grids import RasterGrid, RingGrid
-from .holography import OpticalConfig
 from .modal import calibrate, format_radial_profiles, solve_modes
 
 
@@ -68,6 +66,8 @@ def _solve_basis(plan):
 def _driven_run(plan):
     """Solve the basis, fill the 'resonance'/'auto'/'settling-target'
     placeholders from it and drive it; returns (basis, drive, trajectory)."""
+    from .dynamics import (DriveConfig, calibrate_force_per_volt, respond,
+                           settling_damping_ratio)
     basis = _solve_basis(plan)
     spec = plan["drive"]
     n_d = spec["electrode_harmonic"]
@@ -98,7 +98,8 @@ def _driven_run(plan):
     return basis, drive, traj
 
 
-def _optics(plan) -> OpticalConfig:
+def _optics(plan):
+    from .holography import OpticalConfig
     o = plan["optics"]
     return OpticalConfig(wavelength=o["wavelength"],
                          sensitivity_factor=o["sensitivity_factor"],
@@ -123,6 +124,8 @@ def _strobe_pair(basis, traj, grid, optics, a_deg, b_deg, rng, band):
     instant is above ``band`` of its steady amplitude |Q|: the strobes
     then see a state that has not settled.
     """
+    from . import holography
+    from .dynamics import snapshot_at_strobe
     a = snapshot_at_strobe(basis, traj, grid, a_deg)
     b = snapshot_at_strobe(basis, traj, grid, b_deg)
     driven = traj.steady != 0.0
@@ -143,7 +146,7 @@ def cmd_modes(plan) -> int:
     basis = _solve_basis(plan)
     rows = [(m.n, m.orientation, m.family, m.frequency) for m in basis]
     ioutil.write_csv(_outpath(plan, "modes.csv"),
-                     ("n", "orientation", "family", "frequency_hz"), rows)
+                     ("n", "orientation", "family", "frequency_hz"), zip(*rows))
     ioutil.atomic_write_text(_outpath(plan, "radial_profiles.txt"),
                              format_radial_profiles(basis))
     print(f"wrote {len(rows)} modes to {_outpath(plan, 'modes.csv')}")
@@ -154,17 +157,18 @@ def cmd_modes(plan) -> int:
 
 
 def cmd_respond(plan) -> int:
+    from .dynamics import probe
     basis, drive, traj = _driven_run(plan)
     ana = plan["analysis"]
     points = [(r, ana["probe_theta"]) for r in ana["probe_radii"]]
     series = probe(basis, traj, points, band=ana["settling_band"])
 
-    rows = []
-    for pid, s in enumerate(series):
-        for t, u in zip(s.times, s.displacement):
-            rows.append((float(t), pid, float(u)))
+    # one block of rows per point; every point shares the trajectory's times
     ioutil.write_csv(_outpath(plan, "probes.csv"),
-                     ("time_s", "point_id", "displacement_m"), rows)
+                     ("time_s", "point_id", "displacement_m"),
+                     (ioutil.format_cells(traj.times) * len(series),
+                      np.repeat(np.arange(len(series)), traj.times.size),
+                      np.concatenate([s.displacement for s in series])))
 
     zeta = basis.damping_for(drive.electrode_harmonic)
     lines = [
@@ -187,6 +191,9 @@ def cmd_respond(plan) -> int:
 
 
 def cmd_fringes(plan) -> int:
+    from . import holography
+    from .dynamics import field_envelope, respond
+    from .grids import RasterGrid
     basis, drive, traj = _driven_run(plan)
     optics = _optics(plan)
     grid = RasterGrid(inner_radius=plan["geometry"].inner_radius,
@@ -226,6 +233,8 @@ def cmd_fringes(plan) -> int:
 
 
 def cmd_fit(plan) -> int:
+    from . import analysis, holography
+    from .grids import RingGrid
     basis, drive, traj = _driven_run(plan)
     optics = _optics(plan)
     ana = plan["analysis"]
@@ -233,7 +242,6 @@ def cmd_fit(plan) -> int:
     rng = np.random.default_rng(plan["seed"])
 
     offset = ana["strobe_offset_deg"]
-    rows = []
     fits = []
     for s_deg in ana["strobe_phases_deg"]:
         pmap = _strobe_pair(basis, traj, ring, optics, s_deg, s_deg + offset,
@@ -243,11 +251,11 @@ def cmd_fit(plan) -> int:
         n = analysis.detect_mode_number(sample)
         fit = analysis.fit_eq1(sample, n)
         fits.append((s_deg, fit))
-        rows.append((float(s_deg), fit.n, fit.A, fit.phi, fit.delta,
-                     fit.rms_residual))
     ioutil.write_csv(_outpath(plan, "fit.csv"),
                      ("strobe_phase_deg", "n", "A_m", "phi_rad", "delta_m",
-                      "residual_m"), rows)
+                      "residual_m"),
+                     zip(*[(s, f.n, f.A, f.phi, f.delta, f.rms_residual)
+                           for s, f in fits]))
 
     track = analysis.track_strobe_phase(fits)
     asym = analysis.asymmetry_index(fits)
@@ -267,6 +275,7 @@ def cmd_fit(plan) -> int:
 
 
 def cmd_report(plan) -> int:
+    from . import reference
     basis = _solve_basis(plan)
     solved = basis.harmonics()
     computed = [basis.frequency_for(n) if n in solved else None

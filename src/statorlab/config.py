@@ -14,8 +14,7 @@ import copy
 import json
 import math
 
-from .analysis import STROBE_STEP_LIMIT_DEG
-from .errors import ConfigError, GeometryError
+from .errors import STROBE_STEP_LIMIT_DEG, ConfigError, GeometryError
 from .geometry import Material, StatorGeometry
 from .modal import Discretization
 
@@ -409,4 +408,9 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError(
             f"analysis.circle_radius: {plan['analysis']['circle_radius']} "
             f"lies outside the stator (outer radius {rim})")
+    if plan["analysis"]["circle_radius"] <= geometry.fixture_radius:
+        raise ConfigError(
+            f"analysis.circle_radius: {plan['analysis']['circle_radius']} "
+            "lies inside the clamp, where the plate does not move "
+            f"(geometry.fixture_radius {geometry.fixture_radius})")
     return plan

@@ -1,4 +1,10 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the limits that both
+config validation and the layers raising them check."""
+
+# the fitted phase moves one electrical degree per strobe degree, so a step
+# this wide between consecutive strobes aliases in the unwrap (and at
+# exactly 180 deg the direction of travel is lost)
+STROBE_STEP_LIMIT_DEG = 180.0
 
 
 class StatorLabError(Exception):

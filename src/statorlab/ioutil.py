@@ -5,12 +5,18 @@ Every writer goes through an atomic temp-file + rename so a crashed run
 never leaves a half-written artifact, and every format is byte-stable for
 a given input (fixed float repr, fixed line endings) so repeated runs
 diff clean.
+
+CSV tables are written by column: ``write_csv`` takes one sequence per
+header field, formats each numeric column in one pass (every number as
+the repr of the Python number ``.tolist()`` gives, the shortest repr that
+reads back to the same float) and joins the cells with ``","`` and CRLF.
+A column of strings is written as it is, so a caller can format a column
+shared by several blocks of rows once, with ``format_cells``.  No cell is
+quoted; a string that would need quoting is refused.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import os
 import tempfile
 
@@ -50,22 +56,32 @@ def atomic_write_text(path, text: str):
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def write_csv(path, header, rows):
-    """RFC-4180-style CSV: comma separated, CRLF, one header row."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_csv_cell(c) for c in row])
-    atomic_write_bytes(path, buf.getvalue().encode("utf-8"))
+def format_cells(column) -> list:
+    """The text cells of one column: strings as they are, numbers (numpy
+    arrays and scalars included) as the repr of the Python number that
+    ``.tolist()`` or ``.item()`` gives, so a numpy float loses its
+    ``np.float64(...)`` wrapper on the way."""
+    if isinstance(column, np.ndarray):
+        values = column.tolist()
+    else:
+        # item by item: np.asarray would turn ints past int64 into floats
+        values = [v.item() if isinstance(v, np.generic) else v for v in column]
+    if not values or isinstance(values[0], str):
+        return values
+    # a list's str is the reprs of its items joined by ", ": one C call
+    return str(values)[1:-1].split(", ")
 
 
-def _csv_cell(value):
-    """A float as its shortest repr; a numpy float loses its ``np.float64(...)``
-    wrapper on the way."""
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return value
+def write_csv(path, header, columns):
+    """RFC-4180-style CSV from columns: comma separated, CRLF, one header
+    row, then one row per index of the equally long ``columns``."""
+    cells = [format_cells(column) for column in columns]
+    for column in (header, *cells):
+        text = "".join(column)
+        if any(ch in text for ch in ',"\r\n'):
+            raise DomainError(f"a CSV cell would need quoting: {column[:8]!r}")
+    lines = [",".join(header), *map(",".join, zip(*cells, strict=True))]
+    atomic_write_bytes(path, ("\r\n".join(lines) + "\r\n").encode("utf-8"))
 
 
 def quantize_intensity(intensity: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -106,7 +122,7 @@ def write_field_f32(path, values: np.ndarray, meta: dict):
     """
     lines = [FIELD_MAGIC]
     for key in sorted(meta):
-        lines.append(f"{key} {_csv_cell(meta[key])}")
+        lines.append(f"{key} {format_cells([meta[key]])[0]}")
     shape = "x".join(str(s) for s in values.shape)
     lines.append(f"shape {shape}")
     lines.append("dtype <f4")

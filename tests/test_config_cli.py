@@ -91,6 +91,8 @@ def test_damping_overrides_reach_material():
     ("optics.strobe_duty=0.5", "<= 0.2"),
     ("analysis.probe_radii=[0.02]", "outside the stator"),
     ("analysis.circle_radius=0.02", "outside the stator"),
+    ("analysis.circle_radius=1e-3", "inside the clamp"),
+    ("analysis.circle_radius=6e-3", "inside the clamp"),   # on the clamp edge
     ("analysis.settling_band=0.9", "<= 0.5"),
     ("image.pixels=8", ">= 16"),
     ("seed=-3", "seed"),
@@ -152,6 +154,16 @@ def test_cli_inconsistent_geometry_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_cli_circle_inside_clamp_is_config_error(tmp_path, capsys):
+    rc = main(["fit", "--out", str(tmp_path / "o"),
+               "--set", "analysis.circle_radius=6e-3"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error: analysis.circle_radius" in err
+    assert "geometry.fixture_radius" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_numerical_error_exit(tmp_path, capsys):
     rc = main(["respond", "--out", str(tmp_path / "o"), *LIGHT,
                "--set", "modal.n_max=4", "--set", "drive.dt=1e-3"])
@@ -191,6 +203,16 @@ def test_cli_each_stage_writes_its_files(tmp_path):
             if path.suffix in (".txt", ".csv"):
                 assert "np." not in path.read_text(), path.name
     assert sum(map(len, STAGE_FILES.values())) == 13
+
+
+def test_cli_fringes_field_header_bytes(tmp_path):
+    # the .f32 header of the default run, as every earlier version wrote it
+    assert main(["fringes", "--out", str(tmp_path)]) == 0
+    blob = (tmp_path / "strobe_md4_0d_60d.f32").read_bytes()
+    assert blob[:blob.index(b"end-header\n")] == (
+        b"statorlab-field 1\nextent_m 0.01575\ninner_radius_m 0.00375\n"
+        b"kind raster\nouter_radius_m 0.015\npixels 256\nstrobe_a_deg 0.0\n"
+        b"strobe_b_deg 60.0\nshape 256x256\ndtype <f4\n")
 
 
 def test_cli_modes_outputs(tmp_path, capsys):

@@ -152,7 +152,7 @@ def test_circle_values_raster_interpolates():
 
 def test_csv_bytes_exact(tmp_path):
     path = tmp_path / "t.csv"
-    ioutil.write_csv(path, ("a", "b"), [(1.5, "x"), (0.1, "y")])
+    ioutil.write_csv(path, ("a", "b"), [(1.5, 0.1), ("x", "y")])
     data = path.read_bytes()
     assert data == b"a,b\r\n1.5,x\r\n0.1,y\r\n"
     # repr keeps full float precision
@@ -220,9 +220,9 @@ def test_atomic_write_creates_directories(tmp_path):
 
 def test_writers_are_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    rows = [(i * 0.1, f"p{i}") for i in range(5)]
-    ioutil.write_csv(a, ("x", "id"), rows)
-    ioutil.write_csv(b, ("x", "id"), rows)
+    columns = ([i * 0.1 for i in range(5)], [f"p{i}" for i in range(5)])
+    ioutil.write_csv(a, ("x", "id"), columns)
+    ioutil.write_csv(b, ("x", "id"), columns)
     assert a.read_bytes() == b.read_bytes()
 
 
