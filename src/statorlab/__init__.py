@@ -33,7 +33,8 @@ _SUBMODULE_NAMES = {
                  "ModalTrajectory", "ProbeSeries", "calibrate_force_per_volt",
                  "field_at", "field_envelope", "lateral_mode_proxy",
                  "lorentzian_weight", "mixed_response", "probe", "respond",
-                 "settling_damping_ratio", "snapshot_at_strobe"),
+                 "settling_damping_ratio", "snapshot_at_strobe",
+                 "steady_envelope"),
     "holography": ("FringeImage", "OpticalConfig", "PhaseMap",
                    "first_dark_fringe_amplitude", "stroboscopic",
                    "time_averaged", "unwrap_to_displacement", "wrap_phase"),
@@ -56,22 +57,7 @@ def __dir__():
     return sorted({*globals(), *_LAZY, *_SUBMODULE_NAMES})
 
 
-__all__ = [
-    "__version__",
-    "StatorLabError", "GeometryError", "ConfigError", "DiscretizationError",
-    "DomainError", "TimeStepError", "GridMismatchError", "SamplingError",
-    "NoModeError", "UnwrapError", "UndefinedIndexError", "NumericalError",
-    "StatorGeometry", "Material", "EffectivePlate", "fill_factor", "homogenize",
-    "Discretization", "Mode", "ModalBasis", "CalibrationResult",
-    "assemble", "solve_modes", "mode_shape_eval", "calibrate",
-    "DisplacementField", "RasterGrid", "RingGrid", "circle_values",
-    "DriveConfig", "ModalTrajectory", "ProbeSeries", "ExternalMode",
-    "MixedResponse", "respond", "probe", "field_at", "field_envelope",
-    "snapshot_at_strobe", "mixed_response", "lateral_mode_proxy",
-    "lorentzian_weight", "settling_damping_ratio", "calibrate_force_per_volt",
-    "OpticalConfig", "FringeImage", "PhaseMap", "time_averaged",
-    "stroboscopic", "unwrap_to_displacement", "wrap_phase",
-    "first_dark_fringe_amplitude",
-    "CircleSample", "FitResult", "StrobeTrack", "detect_mode_number",
-    "fit_eq1", "track_strobe_phase", "asymmetry_index",
-]
+__all__ = ["__version__",
+           *(name for name, obj in globals().items()
+             if isinstance(obj, type) and issubclass(obj, StatorLabError)),
+           *_LAZY]

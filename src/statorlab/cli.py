@@ -100,12 +100,7 @@ def _driven_run(plan):
 
 def _optics(plan):
     from .holography import OpticalConfig
-    o = plan["optics"]
-    return OpticalConfig(wavelength=o["wavelength"],
-                         sensitivity_factor=o["sensitivity_factor"],
-                         strobe_duty=o["strobe_duty"],
-                         amplitude_clip=o["amplitude_clip"],
-                         noise_sigma=o["noise_sigma"])
+    return OpticalConfig(**plan["optics"])
 
 
 def _outpath(plan, name: str) -> str:
@@ -128,11 +123,7 @@ def _strobe_pair(basis, traj, grid, optics, a_deg, b_deg, rng, band):
     from .dynamics import snapshot_at_strobe
     a = snapshot_at_strobe(basis, traj, grid, a_deg)
     b = snapshot_at_strobe(basis, traj, grid, b_deg)
-    driven = traj.steady != 0.0
-    Q = traj.steady[driven]
-    transient = (np.abs(traj.q[driven, 0] - Q)
-                 * np.exp(-traj.alpha[driven] * min(a.time, b.time)))
-    left = float(np.max(transient / np.abs(Q), initial=0.0))
+    left = traj.transient_fraction(min(a.time, b.time))
     if left > band:
         warnings.warn(
             f"transient still {left:.1%} of the steady amplitude at the "
@@ -192,7 +183,7 @@ def cmd_respond(plan) -> int:
 
 def cmd_fringes(plan) -> int:
     from . import holography
-    from .dynamics import field_envelope, respond
+    from .dynamics import steady_envelope
     from .grids import RasterGrid
     basis, drive, traj = _driven_run(plan)
     optics = _optics(plan)
@@ -203,14 +194,12 @@ def cmd_fringes(plan) -> int:
 
     # one time-averaged image per harmonic, each driven at its own resonance
     written = []
-    dt_n = 1.0 / (40.0 * max(m.frequency for m in basis))
     for n in basis.harmonics():
         if n < 1:
             continue
         drive_n = replace(drive, drive_frequency=basis.frequency_for(n),
                           electrode_harmonic=n)
-        traj_n = respond(basis, drive_n, duration=10.0 * dt_n, dt=dt_n)
-        env = field_envelope(basis, traj_n, grid, t=None)
+        env = steady_envelope(basis, drive_n, grid)
         img = holography.time_averaged(env, optics)
         name = f"timeavg_md{n}.pgm"
         ioutil.write_pgm(_outpath(plan, name), img.intensity, img.mask)

@@ -398,19 +398,18 @@ def validate_config(cfg: dict) -> dict:
         "output_dir": build_output_dir(cfg),
         "seed": build_seed(cfg),
     }
-    rim = geometry.outer_radius
-    for r in plan["analysis"]["probe_radii"]:
-        if r > rim * (1 + 1e-12):
-            raise ConfigError(
-                f"analysis.probe_radii: {r} lies outside the stator "
-                f"(outer radius {rim})")
-    if plan["analysis"]["circle_radius"] > rim * (1 + 1e-12):
-        raise ConfigError(
-            f"analysis.circle_radius: {plan['analysis']['circle_radius']} "
-            f"lies outside the stator (outer radius {rim})")
-    if plan["analysis"]["circle_radius"] <= geometry.fixture_radius:
-        raise ConfigError(
-            f"analysis.circle_radius: {plan['analysis']['circle_radius']} "
-            "lies inside the clamp, where the plate does not move "
-            f"(geometry.fixture_radius {geometry.fixture_radius})")
+    # every sampling radius lies on the moving plate: (clamp, rim]
+    rim, clamp = geometry.outer_radius, geometry.fixture_radius
+    ana = plan["analysis"]
+    for key, radii in (("probe_radii", ana["probe_radii"]),
+                       ("circle_radius", [ana["circle_radius"]])):
+        for r in radii:
+            if r > rim * (1 + 1e-12):
+                raise ConfigError(
+                    f"analysis.{key}: {r} lies outside the stator "
+                    f"(outer radius {rim})")
+            if r <= clamp:
+                raise ConfigError(
+                    f"analysis.{key}: {r} lies inside the clamp, where the "
+                    f"plate does not move (geometry.fixture_radius {clamp})")
     return plan

@@ -21,7 +21,8 @@ steady or transient term is non-zero, and a field render contracts over
 the modes whose state is non-zero.  Each trajectory keeps the shapes of
 those modes per grid, so its envelope and its strobe snapshots on one grid
 evaluate them once, and W(r) is evaluated once per distinct radius of the
-grid.
+grid.  ``steady_envelope`` renders the steady phasors Q straight from the
+drive, with no trajectory sampled.
 """
 
 from __future__ import annotations
@@ -166,9 +167,24 @@ class ModalTrajectory:
             raise DomainError(
                 f"time {t} outside trajectory span "
                 f"[{self.times[0]}, {self.times[-1]}]")
-        transient = self.q[:, 0] - self.steady
         return (self.steady * np.exp(1.0j * self.drive.omega * t)
-                + transient * np.exp((-self.alpha + 1.0j * self.wd) * t))
+                + self._transient * np.exp((-self.alpha + 1.0j * self.wd) * t))
+
+    @property
+    def _transient(self) -> np.ndarray:
+        """Transient amplitude C_k per mode: the state at t = 0 minus Q_k."""
+        return self.q[:, 0] - self.steady
+
+    def transient_fraction(self, t: float) -> float:
+        """Largest transient left at ``t`` relative to the steady state.
+
+        The maximum of |C_k| e^{-alpha_k t} / |Q_k| over the driven modes
+        (Q_k != 0); 0 when no mode is driven.
+        """
+        driven = self.steady != 0.0
+        left = (np.abs(self._transient[driven])
+                * np.exp(-self.alpha[driven] * t))
+        return float(np.max(left / np.abs(self.steady[driven]), initial=0.0))
 
     def _shapes_on(self, grid, modes: tuple) -> np.ndarray:
         """Shapes of ``modes`` on the masked samples of ``grid``.
@@ -311,18 +327,20 @@ def _mode_shapes_on(modes, grid) -> np.ndarray:
     return shapes
 
 
-def _render(basis: ModalBasis, trajectory: ModalTrajectory, grid,
-            state: np.ndarray) -> np.ndarray:
+def _render(basis: ModalBasis, grid, state: np.ndarray,
+            trajectory: ModalTrajectory | None = None) -> np.ndarray:
     """sum_k state_k Phi_k on the grid; off-annulus samples stay zero.
 
-    Only modes with a non-zero state are evaluated, through the
-    trajectory's shape table for ``grid``.
+    Only modes with a non-zero state are evaluated: through the shape
+    table ``trajectory`` keeps for ``grid``, or afresh without one.
     """
     values = np.zeros(grid.shape, dtype=state.dtype)
     live = np.flatnonzero(state)
     if live.size:
         modes = tuple(basis.modes[k] for k in live)
-        values[grid.mask] = state[live] @ trajectory._shapes_on(grid, modes)
+        shapes = (_mode_shapes_on(modes, grid) if trajectory is None
+                  else trajectory._shapes_on(grid, modes))
+        values[grid.mask] = state[live] @ shapes
     return values
 
 
@@ -332,7 +350,7 @@ def field_at(basis: ModalBasis, trajectory: ModalTrajectory, t: float,
 
     Off-annulus samples are left at zero and flagged by the grid mask.
     """
-    values = _render(basis, trajectory, grid, trajectory.state_at(t).real)
+    values = _render(basis, grid, trajectory.state_at(t).real, trajectory)
     return DisplacementField(grid, values, time=t, label=f"t={t:.9e}s")
 
 
@@ -344,10 +362,23 @@ def field_envelope(basis: ModalBasis, trajectory: ModalTrajectory,
     included); with ``t = None``, the analytic steady state.
     """
     state = trajectory.steady if t is None else trajectory.state_at(t)
-    values = np.abs(_render(basis, trajectory, grid, state))
+    values = np.abs(_render(basis, grid, state, trajectory))
     label = "steady envelope" if t is None else f"envelope t={t:.9e}s"
     return DisplacementField(grid, values, time=(trajectory.times[-1] if t is None else t),
                              label=label)
+
+
+def steady_envelope(basis: ModalBasis, drive: DriveConfig,
+                    grid) -> DisplacementField:
+    """Steady-state vibration envelope |sum_k Q_k Phi_k| under ``drive``.
+
+    Equal, sample for sample, to ``field_envelope`` with ``t = None`` of
+    any trajectory ``respond`` gives for the same basis and drive, without
+    sampling one.
+    """
+    state = _mode_constants(basis, drive)[2]
+    return DisplacementField(grid, np.abs(_render(basis, grid, state)),
+                             label="steady envelope")
 
 
 def snapshot_at_strobe(basis: ModalBasis, trajectory: ModalTrajectory,
@@ -374,7 +405,7 @@ def snapshot_at_strobe(basis: ModalBasis, trajectory: ModalTrajectory,
     state = np.mean([trajectory.state_at(t + f * duty * T).real
                      for f in offsets], axis=0)
     label = f"strobe {strobe_deg:g}deg" + (f" duty={duty:g}" if duty else "")
-    return DisplacementField(grid, _render(basis, trajectory, grid, state),
+    return DisplacementField(grid, _render(basis, grid, state, trajectory),
                              time=t, label=label)
 
 
@@ -515,7 +546,7 @@ def mixed_response(basis: ModalBasis, external: ExternalMode,
                             drive.drive_frequency)
     mask = grid.mask
     pat_m = np.zeros(grid.shape)
-    pat_m[mask] = mode.radial(grid.r[mask]) * mode.angular(grid.theta[mask])
+    pat_m[mask] = _mode_shapes_on((mode,), grid)[0]
     pat_e = np.zeros(grid.shape)
     pat_e[mask] = external.shape(grid.r[mask], grid.theta[mask])
     for p in (pat_m, pat_e):

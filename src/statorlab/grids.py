@@ -84,10 +84,6 @@ class RasterGrid:
                 "inner_radius_m": self.inner_radius,
                 "outer_radius_m": self.outer_radius}
 
-    def compatible(self, other) -> bool:
-        return (isinstance(other, RasterGrid)
-                and self.describe() == other.describe())
-
 
 @dataclass(frozen=True)
 class RingGrid:
@@ -122,12 +118,9 @@ class RingGrid:
     def describe(self) -> dict:
         return {"kind": "ring", "count": self.count, "radius_m": self.radius}
 
-    def compatible(self, other) -> bool:
-        return isinstance(other, RingGrid) and self.describe() == other.describe()
-
 
 def require_same_grid(a, b, context: str):
-    if not a.compatible(b):
+    if a.describe() != b.describe():
         raise GridMismatchError(
             f"{context}: grids differ ({a.describe()} vs {b.describe()})")
 
@@ -201,6 +194,19 @@ def bilinear_sample(grid: RasterGrid, values: np.ndarray,
     return _bilinear_blend(values[rows, cols], fr, fc)
 
 
+def _raster_ring(grid: RasterGrid, radius: float | None,
+                 count: int | None) -> RingGrid:
+    """The ring of ``count`` (default 360) uniform angles at ``radius``
+    along which a raster is sampled; the radius must lie in the annulus."""
+    if radius is None:
+        raise DomainError("raster grids need an explicit circle radius")
+    if not grid.inner_radius <= radius <= grid.outer_radius:
+        raise DomainError(
+            f"circle radius {radius} outside annulus "
+            f"[{grid.inner_radius}, {grid.outer_radius}]")
+    return RingGrid(radius=radius, count=count or 360)
+
+
 def circle_values(fld: DisplacementField, radius: float | None = None,
                   count: int | None = None):
     """Extract (theta, values) along a circle of the field.
@@ -216,13 +222,5 @@ def circle_values(fld: DisplacementField, radius: float | None = None,
             raise DomainError(
                 f"ring grid holds radius {grid.radius}, asked for {radius}")
         return grid.theta.copy(), fld.values.copy()
-    if radius is None:
-        raise DomainError("raster grids need an explicit circle radius")
-    if not grid.inner_radius <= radius <= grid.outer_radius:
-        raise DomainError(
-            f"circle radius {radius} outside annulus "
-            f"[{grid.inner_radius}, {grid.outer_radius}]")
-    count = count or 360
-    theta = 2.0 * np.pi * np.arange(count) / count
-    vals = bilinear_sample(grid, fld.values, np.full(count, radius), theta)
-    return theta, vals
+    ring = _raster_ring(grid, radius, count)
+    return ring.theta, bilinear_sample(grid, fld.values, ring.r, ring.theta)

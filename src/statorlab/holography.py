@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DomainError, UnwrapError
 from .grids import (DisplacementField, RasterGrid, RingGrid, _bilinear_blend,
-                    _bilinear_stencil, require_same_grid)
+                    _bilinear_stencil, _raster_ring, require_same_grid)
 
 
 @dataclass(frozen=True)
@@ -282,25 +282,17 @@ def unwrap_to_displacement(pmap: PhaseMap, optics: OpticalConfig,
     """
     grid = pmap.grid
     if isinstance(grid, RingGrid):
-        u = _unwrap_closed(pmap.phase, f"ring r={grid.radius:.6g} m")
-        return DisplacementField(grid, u / optics.sensitivity_factor,
-                                 time=0.0, label="unwrapped strobe difference")
-    if not isinstance(grid, RasterGrid):
+        ring, sampled = grid, pmap.phase
+    elif isinstance(grid, RasterGrid):
+        ring = _raster_ring(grid, radius, count)
+        rows, cols, fr, fc = _bilinear_stencil(grid, ring.r, ring.theta)
+        corners = pmap.phase[rows, cols]
+        coss = _bilinear_blend(np.cos(corners), fr, fc)
+        sins = _bilinear_blend(np.sin(corners), fr, fc)
+        sampled = np.arctan2(sins, coss)
+        sampled[sampled <= -math.pi] = math.pi
+    else:
         raise DomainError(f"unsupported grid kind {type(grid).__name__}")
-    if radius is None:
-        raise DomainError("raster phase maps need an explicit circle radius")
-    if not grid.inner_radius <= radius <= grid.outer_radius:
-        raise DomainError(
-            f"circle radius {radius} outside annulus "
-            f"[{grid.inner_radius}, {grid.outer_radius}]")
-    count = count or 360
-    ring = RingGrid(radius=radius, count=count)
-    rows, cols, fr, fc = _bilinear_stencil(grid, ring.r, ring.theta)
-    corners = pmap.phase[rows, cols]
-    coss = _bilinear_blend(np.cos(corners), fr, fc)
-    sins = _bilinear_blend(np.sin(corners), fr, fc)
-    sampled = np.arctan2(sins, coss)
-    sampled[sampled <= -math.pi] = math.pi
-    u = _unwrap_closed(sampled, f"circle r={radius:.6g} m")
+    u = _unwrap_closed(sampled, f"ring r={ring.radius:.6g} m")
     return DisplacementField(ring, u / optics.sensitivity_factor,
                              time=0.0, label="unwrapped strobe difference")

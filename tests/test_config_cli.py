@@ -93,6 +93,11 @@ def test_damping_overrides_reach_material():
     ("analysis.circle_radius=0.02", "outside the stator"),
     ("analysis.circle_radius=1e-3", "inside the clamp"),
     ("analysis.circle_radius=6e-3", "inside the clamp"),   # on the clamp edge
+    ("analysis.probe_radii=[0.0102,0.02]", "probe_radii: 0.02 lies outside"),
+    ("analysis.probe_radii=[0.001]", "probe_radii: 0.001 lies inside the clamp"),
+    ("analysis.probe_radii=[0.005]", "probe_radii: 0.005 lies inside the clamp"),
+    ("analysis.probe_radii=[0.006]",                        # on the clamp edge
+     "probe_radii: 0.006 lies inside the clamp"),
     ("analysis.settling_band=0.9", "<= 0.5"),
     ("image.pixels=8", ">= 16"),
     ("seed=-3", "seed"),
@@ -161,6 +166,16 @@ def test_cli_circle_inside_clamp_is_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error: analysis.circle_radius" in err
     assert "geometry.fixture_radius" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_probe_inside_clamp_is_config_error(tmp_path, capsys):
+    rc = main(["respond", "--out", str(tmp_path / "o"),
+               "--set", "analysis.probe_radii=[0.001]"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error: analysis.probe_radii" in err
+    assert "inside the clamp" in err
     assert not (tmp_path / "o").exists()
 
 

@@ -9,10 +9,10 @@ from statorlab.dynamics import (DriveConfig, ExternalMode, _mode_constants,
                                 field_envelope, lateral_mode_proxy,
                                 lorentzian_weight, mixed_response, probe,
                                 respond, settling_damping_ratio,
-                                snapshot_at_strobe)
+                                snapshot_at_strobe, steady_envelope)
 from statorlab.errors import DomainError, NumericalError, TimeStepError
 from statorlab.grids import RasterGrid, RingGrid
-from statorlab.modal import radial_shapes
+from statorlab.modal import radial_shapes, solve_modes
 
 
 @pytest.fixture(scope="module")
@@ -450,6 +450,46 @@ def test_shape_table_belongs_to_one_trajectory_and_basis(basis, drive):
     ref = np.abs(_full_render(leaky, grid, traj.steady))
     assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(ref)
     assert np.max(np.abs(got - first)) > 0.1 * np.max(first)
+
+
+@pytest.fixture(scope="module")
+def two_family_basis(calibrated_plate):
+    return solve_modes(calibrated_plate, n_max=5, n_min=1, modes_per_n=2)
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=["raster", "ring"])
+@pytest.mark.parametrize("layout", ["quadrature", "single"])
+@pytest.mark.parametrize("case", ["resonance", "off_resonance", "pair_defect",
+                                  "two_families"])
+def test_steady_envelope_equals_trajectory_envelope(basis, two_family_basis,
+                                                    grid, layout, case):
+    if case == "pair_defect":
+        basis = basis.with_pair_defect(4, frequency_split=0.01, shape_leak=0.05)
+    if case == "two_families":
+        basis = two_family_basis
+    detune = 1.13 if case == "off_resonance" else 1.0
+    drive = DriveConfig(drive_frequency=detune * basis.frequency_for(4),
+                        electrode_harmonic=4, phase_layout=layout)
+    want = field_envelope(basis, respond(basis, drive, duration=2e-3), grid)
+    got = steady_envelope(basis, drive, grid)
+    assert np.array_equal(got.values, want.values)
+    assert got.grid is grid and got.label == want.label
+
+
+@pytest.mark.parametrize("t", [0.0, 1e-3, 4e-3, 8e-3])
+def test_transient_fraction_is_the_strobe_check(basis, traj, t):
+    driven = traj.steady != 0.0
+    Q = traj.steady[driven]
+    transient = (np.abs(traj.q[driven, 0] - Q)
+                 * np.exp(-traj.alpha[driven] * t))
+    assert traj.transient_fraction(t) == float(
+        np.max(transient / np.abs(Q), initial=0.0))
+
+
+def test_transient_fraction_without_a_driven_mode(basis, drive):
+    idle = respond(basis, dataclasses.replace(drive, force_per_volt=0.0),
+                   duration=1e-3)
+    assert idle.transient_fraction(0.0) == 0.0
 
 
 def test_snapshot_needs_two_cycles(basis, drive):

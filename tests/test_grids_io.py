@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import sys
 import threading
@@ -90,6 +91,35 @@ def test_require_same_grid():
         require_same_grid(a, b, "test")
     with pytest.raises(GridMismatchError):
         require_same_grid(a, RasterGrid(1e-3, 13e-3), "test")
+
+
+@pytest.mark.parametrize("a,b", [
+    (RasterGrid(1e-3, 13e-3), RingGrid(radius=12e-3, count=90)),
+    (RingGrid(radius=12e-3, count=90), RasterGrid(1e-3, 13e-3)),
+    (RasterGrid(1e-3, 13e-3, pixels=64), RasterGrid(1e-3, 13e-3, pixels=65)),
+    (RasterGrid(1e-3, 13e-3), RasterGrid(1e-3, 13e-3, margin=1.1)),
+], ids=["raster-ring", "ring-raster", "pixels", "margin"])
+def test_require_same_grid_compares_descriptions(a, b):
+    require_same_grid(a, dataclasses.replace(a), "rebuilt")
+    with pytest.raises(GridMismatchError, match="grids differ"):
+        require_same_grid(a, b, "test")
+
+
+@pytest.mark.parametrize("radius,fragment", [
+    (None, "raster grids need an explicit circle radius"),
+    (20e-3, "outside annulus"),
+    (2e-3, "outside annulus"),
+])
+def test_raster_circle_errors_shared_by_sampling_and_unwrap(radius, fragment):
+    from statorlab.holography import (OpticalConfig, PhaseMap,
+                                      unwrap_to_displacement)
+    grid = RasterGrid(inner_radius=4e-3, outer_radius=14e-3, pixels=64)
+    fld = DisplacementField(grid, np.zeros(grid.shape))
+    pmap = PhaseMap(grid, np.zeros(grid.shape), 0.0, 60.0)
+    with pytest.raises(DomainError, match=fragment):
+        circle_values(fld, radius=radius)
+    with pytest.raises(DomainError, match=fragment):
+        unwrap_to_displacement(pmap, OpticalConfig(), radius=radius)
 
 
 def test_displacement_field_validation():
