@@ -4,6 +4,11 @@ sinusoid fitting and strobe-phase tracking.
 The central fit is f(theta) = A sin(n theta + phi) + delta, solved in its
 linear reparametrization a sin(n theta) + b cos(n theta) + delta so a
 3x3 normal-equation solve (QR fallback) replaces any iterative optimizer.
+
+A strobe-phase sweep is classified by three constants: a traveling wave
+has an amplitude CV below ``CV_THRESHOLD`` and a phase slope within
+``SLOPE_TOLERANCE`` of one; a standing wave has phases within
+``PHASE_TOLERANCE_DEG`` of their mod-pi mean.
 """
 
 from __future__ import annotations
@@ -18,6 +23,9 @@ from .errors import (STROBE_STEP_LIMIT_DEG, DomainError, NoModeError,
 from .grids import DisplacementField, circle_values
 
 AMPLITUDE_FLOOR = 1e-15     # m; below this a fitted sinusoid has no phase
+CV_THRESHOLD = 0.05         # traveling: amplitude std / mean below this
+SLOPE_TOLERANCE = 0.10      # traveling: | |d phi / d strobe| - 1 | at most this
+PHASE_TOLERANCE_DEG = 5.0   # standing: phase spread around mod-pi mean, deg
 
 
 @dataclass(frozen=True)
@@ -181,16 +189,15 @@ def _mod_pi_spread(phi: np.ndarray) -> float:
     return float(np.degrees(np.max(np.abs(dev))))
 
 
-def track_strobe_phase(fits, cv_threshold: float = 0.05,
-                       slope_tolerance: float = 0.10,
-                       phase_tolerance_deg: float = 5.0) -> StrobeTrack:
+def track_strobe_phase(fits) -> StrobeTrack:
     """Classify a strobe-phase sweep of sinusoid fits.
 
-    Traveling: amplitude steady (CV below threshold) and phase advancing
-    one electrical radian per strobe radian within the slope tolerance
-    (spatial rate = slope/n; the sign just encodes the travel direction).
-    Standing: phase locked modulo pi flips and squared amplitude tracing
-    a sinusoid in twice the strobe phase.  Anything else is mixed.
+    Traveling: amplitude steady (CV below ``CV_THRESHOLD``) and phase
+    advancing one electrical radian per strobe radian within
+    ``SLOPE_TOLERANCE`` (spatial rate = slope/n; the sign just encodes the
+    travel direction).  Standing: phase locked modulo pi flips (within
+    ``PHASE_TOLERANCE_DEG``) and squared amplitude tracing a sinusoid in
+    twice the strobe phase.  Anything else is mixed.
     """
     fits = sorted(fits, key=lambda item: item[0])
     distinct = sorted({deg for deg, _ in fits})
@@ -224,9 +231,9 @@ def track_strobe_phase(fits, cv_threshold: float = 0.05,
     a2_miss = (float(np.sqrt(np.mean((A ** 2 - fitted) ** 2))) / a2_scale
                if a2_scale > 0.0 else 0.0)
 
-    if cv < cv_threshold and abs(abs(slope) - 1.0) <= slope_tolerance:
+    if cv < CV_THRESHOLD and abs(abs(slope) - 1.0) <= SLOPE_TOLERANCE:
         kind = "traveling"
-    elif spread <= phase_tolerance_deg and a2_miss < 0.1:
+    elif spread <= PHASE_TOLERANCE_DEG and a2_miss < 0.1:
         kind = "standing"
     else:
         kind = "mixed"

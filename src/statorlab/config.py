@@ -24,25 +24,25 @@ DEFAULT_CONFIG = {
         "outer_radius": 15.0e-3,
         "tooth_band_inner_radius": 10.0e-3,
         "fixture_radius": 6.0e-3,
-        "total_height": 5.02e-3,
-        "notch_count": 22,
-        "notch_width": 1.59e-3,
-        "notch_depth": 1.0e-3,
-        "base_thickness": None,
+        "total_height": StatorGeometry.total_height,
+        "notch_count": StatorGeometry.notch_count,
+        "notch_width": StatorGeometry.notch_width,
+        "notch_depth": StatorGeometry.notch_depth,
+        "base_thickness": StatorGeometry.base_thickness,
     },
     "material": {
-        "youngs_modulus": 3.2e9,
-        "poisson_ratio": 0.36,
-        "density": 1270.0,
-        "modal_damping_ratio": 0.02,
+        "youngs_modulus": Material.youngs_modulus,
+        "poisson_ratio": Material.poisson_ratio,
+        "density": Material.density,
+        "modal_damping_ratio": Material.modal_damping_ratio,
         "damping_overrides": {},
     },
     "modal": {
         "n_min": 1,
         "n_max": 7,
         "modes_per_n": 1,
-        "radial_nodes": 64,
-        "quadrature_order": 6,
+        "radial_nodes": Discretization.radial_nodes,
+        "quadrature_order": Discretization.quadrature_order,
         "calibrate": True,
         "calibration_target_n": 1,
         "calibration_target_hz": 3680.0,
@@ -398,6 +398,15 @@ def validate_config(cfg: dict) -> dict:
         "output_dir": build_output_dir(cfg),
         "seed": build_seed(cfg),
     }
+    # the smeared plate has no N-fold cyclic symmetry: with N notches,
+    # harmonic n couples to |N - n| and a pair splits when 2n is a multiple
+    # of N, so every retained harmonic must keep 2n below N
+    notches, n_max = geometry.notch_count, plan["modal"]["n_max"]
+    if notches and 2 * n_max >= notches:
+        raise ConfigError(
+            f"modal.n_max {n_max} is too high for geometry.notch_count "
+            f"{notches}: the homogenized plate needs 2 * n_max < notch_count "
+            "(or notch_count 0)")
     # every sampling radius lies on the moving plate: (clamp, rim]
     rim, clamp = geometry.outer_radius, geometry.fixture_radius
     ana = plan["analysis"]

@@ -18,11 +18,12 @@ bit-exact.
 
 Only driven modes cost anything: ``respond`` evaluates the rows whose
 steady or transient term is non-zero, and a field render contracts over
-the modes whose state is non-zero.  Each trajectory keeps the shapes of
-those modes per grid, so its envelope and its strobe snapshots on one grid
-evaluate them once, and W(r) is evaluated once per distinct radius of the
-grid.  ``steady_envelope`` renders the steady phasors Q straight from the
-drive, with no trajectory sampled.
+the modes whose state is non-zero (its live modes).  Each trajectory keeps
+one shape table per (grid, live modes): renders on one grid with the same
+live modes, such as its envelope and its strobe snapshots, evaluate the
+shapes once, and W(r) is evaluated once per distinct radius of the grid.
+``steady_envelope`` renders the steady phasors Q straight from the drive,
+with no trajectory sampled.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .grids import DisplacementField
 from .modal import ModalBasis, Mode, radial_shapes
 
 ENVELOPE_BOUND_SLACK = 1e-9
+_STROBE_SUBSAMPLES = 8      # instants averaged across an open strobe window
 
 
 @dataclass(frozen=True)
@@ -131,8 +133,9 @@ class ModalTrajectory:
     drive: DriveConfig
     alpha: np.ndarray = field(repr=False)
     wd: np.ndarray = field(repr=False)
-    # grid -> (modes, shapes on the grid's masked samples, row of each mode
-    # by id); never copied by dataclasses.replace
+    # (grid, ids of the live modes) -> (those modes, their shapes on the
+    # grid's masked samples); holding the modes keeps their ids from being
+    # reused.  Never copied by dataclasses.replace
     _shape_tables: dict = field(default_factory=dict, init=False, repr=False,
                                 compare=False)
 
@@ -189,28 +192,13 @@ class ModalTrajectory:
     def _shapes_on(self, grid, modes: tuple) -> np.ndarray:
         """Shapes of ``modes`` on the masked samples of ``grid``.
 
-        Built once per grid by ``_mode_shapes_on``, which evaluates W(r)
-        once per distinct radius of the grid.  Modes that are all in the
-        grid's table (the same objects) are served from its rows, which are
-        bit-identical to a fresh evaluation; any other request (a mode
-        outside the table, or another basis) rebuilds the table for the
-        requested modes.
+        Built by ``_mode_shapes_on`` once per (grid, modes) pair and kept
+        for every later render of the same live modes on an equal grid.
         """
-        built = self._shape_tables.get(grid)
-        if built is not None:
-            table_modes, shapes, rows = built
-            if len(table_modes) == len(modes) and all(
-                    a is b for a, b in zip(table_modes, modes)):
-                return shapes
-            # the table holds its modes, so an id found in ``rows`` is the
-            # very object the row was built from
-            index = [rows.get(id(m)) for m in modes]
-            if None not in index:
-                return shapes[index]
-        shapes = _mode_shapes_on(modes, grid)
-        self._shape_tables[grid] = (modes, shapes,
-                                    {id(m): i for i, m in enumerate(modes)})
-        return shapes
+        key = (grid, tuple(map(id, modes)))
+        if key not in self._shape_tables:
+            self._shape_tables[key] = (modes, _mode_shapes_on(modes, grid))
+        return self._shape_tables[key][1]
 
 
 def respond(basis: ModalBasis, drive: DriveConfig, duration: float,
@@ -285,17 +273,16 @@ def settling_damping_ratio(t_settle: float, drive_frequency: float,
 
 
 def calibrate_force_per_volt(basis: ModalBasis, drive: DriveConfig,
-                             target_amplitude: float, radius: float,
-                             family: int = 0) -> float:
+                             target_amplitude: float, radius: float) -> float:
     """Forcing gain that yields ``target_amplitude`` at ``radius``.
 
-    Uses the steady-state magnitude of the driven harmonic at the drive
-    frequency (not necessarily resonance), with the traveling-wave
-    envelope W(r) |Q|.
+    Uses the steady-state magnitude of the driven harmonic's lowest family
+    at the drive frequency (not necessarily resonance), with the
+    traveling-wave envelope W(r) |Q|.
     """
     if target_amplitude <= 0.0:
         raise DomainError(f"target amplitude must be positive, got {target_amplitude}")
-    found = basis.select(drive.electrode_harmonic, "cos", family)
+    found = basis.select(drive.electrode_harmonic, "cos")
     if not found:
         raise DomainError(
             f"harmonic n={drive.electrode_harmonic} not present in basis")
@@ -332,7 +319,8 @@ def _render(basis: ModalBasis, grid, state: np.ndarray,
     """sum_k state_k Phi_k on the grid; off-annulus samples stay zero.
 
     Only modes with a non-zero state are evaluated: through the shape
-    table ``trajectory`` keeps for ``grid``, or afresh without one.
+    table ``trajectory`` keeps for ``grid`` and those modes, or afresh
+    without one.
     """
     values = np.zeros(grid.shape, dtype=state.dtype)
     live = np.flatnonzero(state)
@@ -382,13 +370,13 @@ def steady_envelope(basis: ModalBasis, drive: DriveConfig,
 
 
 def snapshot_at_strobe(basis: ModalBasis, trajectory: ModalTrajectory,
-                       grid, strobe_deg: float, duty: float = 0.0,
-                       subsamples: int = 8) -> DisplacementField:
+                       grid, strobe_deg: float, duty: float = 0.0
+                       ) -> DisplacementField:
     """Displacement snapshot at a strobe phase of the drive cycle.
 
     The strobe fires ``strobe_deg`` electrical degrees into the last
     complete cycle before the trajectory end (steady state by then for
-    any sensible run length).  ``duty`` > 0 averages ``subsamples``
+    any sensible run length).  ``duty`` > 0 averages 8 evenly spaced
     instants across the open window, modeling a finite strobe exposure;
     the default is the instantaneous (duty -> 0) model.
     """
@@ -401,7 +389,8 @@ def snapshot_at_strobe(basis: ModalBasis, trajectory: ModalTrajectory,
     t = t0 + (strobe_deg / 360.0) * T
     # the field is linear in the state: average the window's states and
     # render once; a closed window (duty 0) averages the single instant t
-    offsets = (np.arange(subsamples) + 0.5) / subsamples - 0.5 if duty else [0.0]
+    offsets = ((np.arange(_STROBE_SUBSAMPLES) + 0.5) / _STROBE_SUBSAMPLES - 0.5
+               if duty else [0.0])
     state = np.mean([trajectory.state_at(t + f * duty * T).real
                      for f in offsets], axis=0)
     label = f"strobe {strobe_deg:g}deg" + (f" duty={duty:g}" if duty else "")

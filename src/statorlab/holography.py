@@ -86,14 +86,6 @@ class FringeImage:
     def mask(self) -> np.ndarray:
         return self.grid.mask
 
-    @property
-    def width(self) -> int:
-        return self.grid.shape[-1]
-
-    @property
-    def height(self) -> int:
-        return self.grid.shape[0] if len(self.grid.shape) == 2 else 1
-
 
 @dataclass(frozen=True)
 class PhaseMap:

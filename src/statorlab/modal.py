@@ -274,10 +274,6 @@ class Mode:
         return 2.0 * np.pi * self.frequency
 
     @property
-    def fixture_radius(self) -> float:
-        return float(self.radial_nodes[0])
-
-    @property
     def outer_radius(self) -> float:
         return float(self.radial_nodes[-1])
 
@@ -373,25 +369,23 @@ class ModalBasis:
                           default_damping=zeta, damping_overrides=None)
 
     def with_pair_defect(self, n: int, frequency_split: float = 0.0,
-                         shape_leak: float = 0.0, leak_harmonic: int | None = None
-                         ) -> "ModalBasis":
+                         shape_leak: float = 0.0) -> "ModalBasis":
         """Emulate a manufacturing defect on the degenerate pair of harmonic ``n``.
 
         The sine partner's frequency is raised by the relative
         ``frequency_split`` and, when ``shape_leak`` is nonzero, a foreign
-        harmonic (default ``n + 1``) is admixed into both partners' angular
+        harmonic ``n + 1`` is admixed into both partners' angular
         patterns with that weight.  Purely a perturbation proxy; the
         perturbed shapes are no longer exactly mass-orthonormal.
         """
         if not self.select(n):
             raise DomainError(f"harmonic n={n} not present in basis")
-        leak_m = leak_harmonic if leak_harmonic is not None else n + 1
         new = []
         for m in self.modes:
             if m.n == n and m.family == 0:
                 changes = {}
                 if shape_leak:
-                    changes["angular_leak"] = ((leak_m, shape_leak),)
+                    changes["angular_leak"] = ((n + 1, shape_leak),)
                 if m.orientation == "sin" and frequency_split:
                     changes["frequency"] = m.frequency * (1.0 + frequency_split)
                 if changes:

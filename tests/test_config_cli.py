@@ -104,6 +104,10 @@ def test_damping_overrides_reach_material():
     ("material.damping_overrides.x=0.01", "not an integer"),
     ("geometry.fixture_radius=0.012", "fixture_radius"),
     ("geometry.notch_count=400", "do not fit"),
+    ("geometry.notch_count=4", "modal.n_max 7 is too high for "
+                               "geometry.notch_count 4"),
+    ("geometry.notch_count=14", "2 \\* n_max < notch_count"),  # 2n = N
+    ("modal.n_max=11", "modal.n_max 11 is too high for geometry.notch_count 22"),
     ("material.poisson_ratio=0.5", "poisson_ratio"),
     ("analysis.strobe_phases_deg=[30,30,30]", "3 distinct"),
     ("analysis.strobe_phases_deg=[0,30]", "3 distinct"),
@@ -157,6 +161,27 @@ def test_cli_inconsistent_geometry_is_config_error(tmp_path, capsys):
     assert rc == 2
     assert "config error:" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_harmonics_past_the_notch_limit_are_config_error(tmp_path,
+                                                            capsys):
+    rc = main(["modes", "--out", str(tmp_path / "o"),
+               "--set", "geometry.notch_count=4"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error: modal.n_max" in err
+    assert "geometry.notch_count" in err
+    assert not (tmp_path / "o").exists()
+
+
+# no notches at all (a plain plate), or 2 * n_max < notch_count
+@pytest.mark.parametrize("notches,n_max", [(0, 7), (0, 11), (15, 7)])
+def test_validate_config_accepts_harmonics_below_the_notch_limit(notches,
+                                                                 n_max):
+    plan = validate_config(apply_overrides(default_config(), [
+        f"geometry.notch_count={notches}", f"modal.n_max={n_max}"]))
+    assert plan["geometry"].notch_count == notches
+    assert plan["modal"]["n_max"] == n_max
 
 
 def test_cli_circle_inside_clamp_is_config_error(tmp_path, capsys):

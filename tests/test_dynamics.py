@@ -279,7 +279,7 @@ def test_snapshot_at_strobe(basis, traj):
 
 def test_finite_strobe_equals_mean_of_instant_renders(basis, traj):
     ring = RingGrid(radius=15e-3, count=64)
-    snap = snapshot_at_strobe(basis, traj, ring, 90.0, duty=0.2, subsamples=8)
+    snap = snapshot_at_strobe(basis, traj, ring, 90.0, duty=0.2)
     T = traj.drive.period
     t = traj.times[-1] - 2 * T + 0.25 * T
     offsets = (np.arange(8) + 0.5) / 8 - 0.5
@@ -432,6 +432,40 @@ def test_alternating_live_sets_share_one_table(basis, drive, monkeypatch):
     for render, values in zip(renders, got):
         assert np.array_equal(values, render(dataclasses.replace(traj)).values)
     assert calls == [2, 14, 2, 14, 2, 14]
+
+
+def test_strobe_then_envelope_build_one_table_each(basis, drive,
+                                                   monkeypatch):
+    calls = []
+    evaluate = dynamics._mode_shapes_on
+
+    def counted(modes, grid):
+        calls.append(len(modes))
+        return evaluate(modes, grid)
+
+    monkeypatch.setattr(dynamics, "_mode_shapes_on", counted)
+    rng = np.random.default_rng(11)
+    initial = 1e-9 * (rng.standard_normal(len(basis))
+                      + 1j * rng.standard_normal(len(basis)))
+    # the strobe has all 14 modes live, then the steady envelope the 2
+    # driven ones: each live set gets its own table on the grid
+    traj = respond(basis, drive, duration=4e-3, initial=initial)
+    raster = GRIDS[0]
+    strobe = snapshot_at_strobe(basis, traj, raster, 30.0)
+    envelope = field_envelope(basis, traj, raster)
+    assert calls == [14, 2]
+    assert np.array_equal(snapshot_at_strobe(basis, traj, raster, 30.0).values,
+                          strobe.values)
+    assert np.array_equal(field_envelope(basis, traj, raster).values,
+                          envelope.values)
+    assert calls == [14, 2]
+    # both equal renders from shapes evaluated afresh, without a table
+    assert np.array_equal(
+        strobe.values,
+        dynamics._render(basis, raster, traj.state_at(strobe.time).real))
+    assert np.array_equal(envelope.values,
+                          np.abs(dynamics._render(basis, raster, traj.steady)))
+    assert calls == [14, 2, 14, 2]
 
 
 def test_shape_table_belongs_to_one_trajectory_and_basis(basis, drive):
