@@ -18,6 +18,14 @@ from .errors import STROBE_STEP_LIMIT_DEG, ConfigError, GeometryError
 from .geometry import Material, StatorGeometry
 from .modal import Discretization
 
+# upper bounds on the sizes that allocate, checked before anything does:
+# the mesh assembles dense (2 nodes)^2 matrices, a raster holds pixels^2
+# float arrays (about 250 MB at peak for 2048), and detect_mode_number
+# builds a (count / 8) x count complex matrix (33 MB at 4096)
+MAX_RADIAL_NODES = 512
+MAX_PIXELS = 2048
+MAX_CIRCLE_COUNT = 4096
+
 DEFAULT_CONFIG = {
     "geometry": {
         "inner_radius": 3.75e-3,
@@ -28,7 +36,6 @@ DEFAULT_CONFIG = {
         "notch_count": StatorGeometry.notch_count,
         "notch_width": StatorGeometry.notch_width,
         "notch_depth": StatorGeometry.notch_depth,
-        "base_thickness": StatorGeometry.base_thickness,
     },
     "material": {
         "youngs_modulus": Material.youngs_modulus,
@@ -177,8 +184,6 @@ def _num(name: str, sec: dict, key: str, positive=True, minimum=None,
     value = sec.get(key)
     if isinstance(value, str) and value in allow:
         return value
-    if value is None and None in allow:
-        return None
     if not _is_number(value):
         raise ConfigError(f"{name}.{key}: expected a finite number, got {value!r}")
     value = float(value)
@@ -191,13 +196,15 @@ def _num(name: str, sec: dict, key: str, positive=True, minimum=None,
     return value
 
 
-def _int(name: str, sec: dict, key: str, minimum=0):
+def _int(name: str, sec: dict, key: str, minimum=0, maximum=None):
     value = sec.get(key)
     if not isinstance(value, int) or not _is_number(value):
         raise ConfigError(
             f"{name}.{key}: expected an integer in float64 range, got {value!r}")
     if value < minimum:
         raise ConfigError(f"{name}.{key}: must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{name}.{key}: must be <= {maximum}, got {value}")
     return value
 
 
@@ -207,8 +214,6 @@ def build_geometry(cfg: dict) -> StatorGeometry:
     for key in DEFAULT_CONFIG["geometry"]:
         if key == "notch_count":
             kwargs[key] = _int("geometry", sec, key, minimum=0)
-        elif key == "base_thickness":
-            kwargs[key] = _num("geometry", sec, key, allow=(None,))
         else:
             kwargs[key] = _num("geometry", sec, key)
     return StatorGeometry(**kwargs)
@@ -251,7 +256,8 @@ def build_modal_plan(cfg: dict) -> dict:
         "n_max": _int("modal", sec, "n_max", minimum=0),
         "modes_per_n": _int("modal", sec, "modes_per_n", minimum=1),
         "discretization": Discretization(
-            radial_nodes=_int("modal", sec, "radial_nodes", minimum=8),
+            radial_nodes=_int("modal", sec, "radial_nodes", minimum=8,
+                              maximum=MAX_RADIAL_NODES),
             quadrature_order=_int("modal", sec, "quadrature_order", minimum=4)),
         "calibrate": sec.get("calibrate"),
         "calibration_target_n": _int("modal", sec, "calibration_target_n",
@@ -343,7 +349,8 @@ def build_analysis_plan(cfg: dict) -> dict:
         "probe_radii": [float(r) for r in radii],
         "probe_theta": float(theta),
         "circle_radius": _num("analysis", sec, "circle_radius"),
-        "circle_count": _int("analysis", sec, "circle_count", minimum=8),
+        "circle_count": _int("analysis", sec, "circle_count", minimum=8,
+                             maximum=MAX_CIRCLE_COUNT),
         "strobe_offset_deg": _num("analysis", sec, "strobe_offset_deg"),
         "strobe_phases_deg": [float(p) for p in phases],
         "settling_band": _num("analysis", sec, "settling_band", maximum=0.5),
@@ -354,7 +361,7 @@ def build_analysis_plan(cfg: dict) -> dict:
 def build_image_plan(cfg: dict) -> dict:
     sec = _section(cfg, "image")
     return {
-        "pixels": _int("image", sec, "pixels", minimum=16),
+        "pixels": _int("image", sec, "pixels", minimum=16, maximum=MAX_PIXELS),
         "margin": _num("image", sec, "margin", minimum=1.0),
     }
 

@@ -38,6 +38,8 @@ from .grids import DisplacementField
 from .modal import ModalBasis, Mode, radial_shapes
 
 ENVELOPE_BOUND_SLACK = 1e-9
+# modes x samples of one trajectory: 2^22 complex128 values are 67 MB
+MAX_TRAJECTORY_VALUES = 2 ** 22
 _STROBE_SUBSAMPLES = 8      # instants averaged across an open strobe window
 
 
@@ -234,10 +236,19 @@ def respond(basis: ModalBasis, drive: DriveConfig, duration: float,
             f"duration {duration:.3e} s must cover at least 5 steps of "
             f"dt = {dt:.3e} s")
 
+    # a float, so that a ratio past the float range reads inf, not an error
+    samples = np.rint(duration / dt) + 1
+    if len(basis) * samples > MAX_TRAJECTORY_VALUES:
+        raise TimeStepError(
+            f"duration {duration:.3e} s at dt = {dt:.3e} s gives {samples:.0f} "
+            f"samples of {len(basis)} modes, above the "
+            f"{MAX_TRAJECTORY_VALUES} values a trajectory may hold; shorten "
+            "the duration or raise dt")
+
     alpha, wd, Q, C = _mode_constants(basis, drive)
     if initial is not None:
         C = np.asarray(initial, dtype=complex) - Q
-    times = dt * np.arange(int(round(duration / dt)) + 1)
+    times = dt * np.arange(int(samples))
     E = np.exp(1.0j * drive.omega * times)
     # undriven modes at rest stay exactly zero
     live = (Q != 0.0) | (C != 0.0)
@@ -457,14 +468,14 @@ def _settling_time(times: np.ndarray, envelope: np.ndarray,
 class ExternalMode:
     """A resonance outside the out-of-plane basis (e.g. a lateral mode).
 
-    ``shape`` renders the pattern for comparison images only; the default
-    proxy is explicitly non-physical (no in-plane mechanics are solved).
+    ``shape`` renders the pattern for comparison images only; the
+    ``lateral_mode_proxy`` shape is explicitly non-physical (no in-plane
+    mechanics are solved).
     """
 
     frequency: float
+    shape: object                        # callable (r, theta) -> value
     damping_ratio: float = 0.02
-    shape: object = None                 # callable (r, theta) -> value
-    label: str = "lateral-mode proxy (non-physical)"
 
     def __post_init__(self):
         if self.frequency <= 0.0:

@@ -13,7 +13,7 @@ All lengths are meters, all frequencies Hz (SI throughout).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,9 +47,6 @@ class StatorGeometry:
         Circumferential width of one notch [m].
     notch_depth : float
         Depth of the notch cut, i.e. the tooth layer height [m].
-    base_thickness : float, optional
-        Thickness of the continuous base plate [m].  Defaults to
-        ``total_height - notch_depth`` and must equal it when given.
 
     Notes
     -----
@@ -66,7 +63,6 @@ class StatorGeometry:
     notch_count: int = 22
     notch_width: float = 1.59e-3
     notch_depth: float = 1.0e-3
-    base_thickness: float | None = None
 
     def __post_init__(self):
         if not (0.0 < self.inner_radius < self.fixture_radius
@@ -88,13 +84,11 @@ class StatorGeometry:
             raise GeometryError(
                 f"{self.notch_count} notches of width {self.notch_width} m do not fit on "
                 f"the tooth band circumference ({circumference:.6g} m)")
-        if self.base_thickness is None:
-            object.__setattr__(self, "base_thickness", self.total_height - self.notch_depth)
-        elif abs(self.base_thickness - (self.total_height - self.notch_depth)) \
-                > _REL_TOL * self.total_height:
-            raise GeometryError(
-                f"base_thickness={self.base_thickness} inconsistent with "
-                f"total_height - notch_depth = {self.total_height - self.notch_depth}")
+
+    @property
+    def base_thickness(self) -> float:
+        """Thickness of the continuous base plate below the notches [m]."""
+        return self.total_height - self.notch_depth
 
     @property
     def tooth_band_centroid_radius(self) -> float:
@@ -113,7 +107,8 @@ class Material:
 
     ``modal_damping_ratio`` is the default per-mode viscous ratio; single
     modes can be overridden by circumferential harmonic via
-    ``damping_overrides`` (e.g. ``{4: 0.0064}``).
+    ``damping_overrides`` (e.g. ``{4: 0.0064}``).  ``solve_modes`` carries
+    both into the basis, whose ``damping_for`` looks them up.
     """
 
     youngs_modulus: float = 3.2e9      # Ultem-type engineering plastic
@@ -137,12 +132,6 @@ class Material:
                 if not 0.0 < z < 1.0:
                     raise GeometryError(f"damping override for n={n} must lie in (0, 1), got {z}")
 
-    def damping_for(self, n: int) -> float:
-        """Viscous damping ratio for circumferential harmonic ``n``."""
-        if self.damping_overrides and n in self.damping_overrides:
-            return self.damping_overrides[n]
-        return self.modal_damping_ratio
-
     def bending_stiffness(self, thickness: float) -> float:
         """Plate bending stiffness E t^3 / (12 (1 - nu^2)) [N m]."""
         return self.youngs_modulus * thickness**3 / (12.0 * (1.0 - self.poisson_ratio**2))
@@ -163,7 +152,6 @@ class EffectivePlate:
     poisson_ratio: float
     fill_factor: float
     fixture_radius: float
-    geometry: StatorGeometry | None = None
     material: Material | None = None
     stiffness_scale: float = 1.0    # cumulative calibration factor on D
 
@@ -179,10 +167,6 @@ class EffectivePlate:
             raise GeometryError(f"fill_factor must lie in (0, 1], got {self.fill_factor}")
         if not bp[0] <= self.fixture_radius < bp[-1]:
             raise GeometryError("fixture_radius must lie inside the plate annulus")
-
-    @property
-    def inner_radius(self) -> float:
-        return self.breakpoints[0]
 
     @property
     def outer_radius(self) -> float:
@@ -266,6 +250,5 @@ def homogenize(geom: StatorGeometry, mat: Material) -> EffectivePlate:
         poisson_ratio=mat.poisson_ratio,
         fill_factor=ff,
         fixture_radius=geom.fixture_radius,
-        geometry=geom,
         material=mat,
     )

@@ -61,7 +61,7 @@ class RasterGrid:
         r = np.hypot(x, y)
         theta = np.mod(np.arctan2(y, x), 2.0 * np.pi)
         object.__setattr__(self, "r", r)
-        object.__setattr__(self, "theta", np.broadcast_to(theta, r.shape).copy())
+        object.__setattr__(self, "theta", theta)
         mask = (r >= self.inner_radius) & (r <= self.outer_radius)
         object.__setattr__(self, "mask", mask)
         # the square's eightfold symmetry repeats most radii

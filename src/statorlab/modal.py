@@ -258,7 +258,6 @@ class Mode:
     radial_nodes: np.ndarray       # m, ascending, starts at fixture radius
     radial_values: np.ndarray      # mass-normalized W at the nodes
     radial_slopes: np.ndarray      # dW/dr at the nodes
-    boundary: str = "clamped-at-fixture/free-at-edges"
     family: int = 0                # radial family index (0 = lowest)
     angular_leak: tuple = ()
 
@@ -276,6 +275,11 @@ class Mode:
     @property
     def outer_radius(self) -> float:
         return float(self.radial_nodes[-1])
+
+    @property
+    def boundary(self) -> str:
+        """The boundary conditions every solved mode satisfies."""
+        return "clamped-at-fixture/free-at-edges"
 
     def radial(self, r):
         """W(r), zero inside the clamped center."""
@@ -365,8 +369,7 @@ class ModalBasis:
         """Same modes with a uniform damping ratio (overrides dropped)."""
         if not 0.0 <= zeta < 1.0:
             raise DomainError(f"damping ratio must be in [0, 1), got {zeta}")
-        return ModalBasis(self.modes, self.discretization, self.provenance,
-                          default_damping=zeta, damping_overrides=None)
+        return replace(self, default_damping=zeta, damping_overrides=None)
 
     def with_pair_defect(self, n: int, frequency_split: float = 0.0,
                          shape_leak: float = 0.0) -> "ModalBasis":
@@ -392,8 +395,7 @@ class ModalBasis:
                     m = replace(m, **changes)
             new.append(m)
         new.sort(key=lambda md: (md.frequency, md.n, md.orientation))
-        return ModalBasis(tuple(new), self.discretization, self.provenance + "+defect",
-                          self.default_damping, self.damping_overrides)
+        return replace(self, modes=tuple(new), provenance=self.provenance + "+defect")
 
 
 def _band(A: np.ndarray, half_bandwidth: int) -> tuple:
@@ -569,9 +571,6 @@ def solve_modes(plate: EffectivePlate, n_max: int, modes_per_n: int = 1,
 class CalibrationResult:
     plate: EffectivePlate
     scale: float                 # factor applied to D(r)
-    target_n: int
-    target_frequency: float
-    previous_frequency: float
 
 
 def calibrate(plate: EffectivePlate, target: tuple, basis: ModalBasis | None = None,
@@ -593,8 +592,7 @@ def calibrate(plate: EffectivePlate, target: tuple, basis: ModalBasis | None = N
         probe = solve_modes(plate, n_max=n, n_min=n, modes_per_n=1, disc=disc)
         f_current = probe.frequency_for(n)
     scale = (f_target / f_current) ** 2
-    return CalibrationResult(plate=plate.scaled(scale), scale=scale, target_n=n,
-                             target_frequency=f_target, previous_frequency=f_current)
+    return CalibrationResult(plate=plate.scaled(scale), scale=scale)
 
 
 def basis_table(basis: ModalBasis) -> list:

@@ -10,6 +10,7 @@ from statorlab.cli import _solve_basis, main
 from statorlab.config import (DEFAULT_CONFIG, apply_overrides, default_config,
                               deep_merge, load_config, validate_config)
 from statorlab.errors import ConfigError
+from statorlab.modal import Discretization, ModalBasis
 
 LIGHT = ["--set", "modal.n_max=2", "--set", "modal.radial_nodes=48"]
 HUGE = 10 ** 400                     # 401 digits, past the float64 range
@@ -75,14 +76,20 @@ def test_validate_config_builds_plan():
 def test_damping_overrides_reach_material():
     cfg = apply_overrides(default_config(),
                           ["material.damping_overrides.5=0.011"])
-    plan = validate_config(cfg)
-    assert plan["material"].damping_for(5) == 0.011
-    assert plan["material"].damping_for(4) == 0.02
+    material = validate_config(cfg)["material"]
+    assert material.damping_overrides == {5: 0.011}
+    basis = ModalBasis((), Discretization(), "lookup",
+                       material.modal_damping_ratio,
+                       material.damping_overrides)
+    assert basis.damping_for(5) == 0.011
+    assert basis.damping_for(4) == 0.02
 
 
 @pytest.mark.parametrize("override,fragment", [
     ("bogus.key=1", "unknown config section"),
     ("geometry.bogus=1", "unknown key"),
+    # derived as total_height - notch_depth, so no longer a key
+    ("geometry.base_thickness=0.00402", "unknown key.*base_thickness"),
     ("geometry.inner_radius=-1", "must be positive"),
     ("modal.calibrate=1", "true/false"),
     ("modal.n_max=0", "n_max"),
@@ -100,6 +107,10 @@ def test_damping_overrides_reach_material():
      "probe_radii: 0.006 lies inside the clamp"),
     ("analysis.settling_band=0.9", "<= 0.5"),
     ("image.pixels=8", ">= 16"),
+    # the first value above each bound on a size that allocates
+    ("modal.radial_nodes=513", "modal.radial_nodes: must be <= 512"),
+    ("image.pixels=2049", "image.pixels: must be <= 2048"),
+    ("analysis.circle_count=4097", "analysis.circle_count: must be <= 4096"),
     ("seed=-3", "seed"),
     ("material.damping_overrides.x=0.01", "not an integer"),
     ("geometry.fixture_radius=0.012", "fixture_radius"),
@@ -174,6 +185,15 @@ def test_cli_harmonics_past_the_notch_limit_are_config_error(tmp_path,
     assert not (tmp_path / "o").exists()
 
 
+def test_validate_config_accepts_each_size_bound():
+    plan = validate_config(apply_overrides(default_config(), [
+        "modal.radial_nodes=512", "image.pixels=2048",
+        "analysis.circle_count=4096"]))
+    assert plan["modal"]["discretization"].radial_nodes == 512
+    assert plan["image"]["pixels"] == 2048
+    assert plan["analysis"]["circle_count"] == 4096
+
+
 # no notches at all (a plain plate), or 2 * n_max < notch_count
 @pytest.mark.parametrize("notches,n_max", [(0, 7), (0, 11), (15, 7)])
 def test_validate_config_accepts_harmonics_below_the_notch_limit(notches,
@@ -209,6 +229,34 @@ def test_cli_numerical_error_exit(tmp_path, capsys):
                "--set", "modal.n_max=4", "--set", "drive.dt=1e-3"])
     assert rc == 3
     assert "sampling bound" in capsys.readouterr().err
+
+
+# auto dt and a given dt alike: the trajectory would hold more than 2^22
+# modal values, so respond refuses before it allocates one
+@pytest.mark.parametrize("override", ["drive.duration=1000", "drive.dt=1e-12"])
+def test_cli_respond_refuses_an_oversized_trajectory(tmp_path, capsys,
+                                                     override):
+    out = tmp_path / "o"
+    rc = main(["respond", "--out", str(out), *LIGHT,
+               "--set", "modal.n_max=4", "--set", override])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "error: duration" in err and "dt =" in err
+    assert not out.exists()
+
+
+# drive.damping=material keeps the material's ratios, overrides included
+@pytest.mark.parametrize("harmonic,expected", [(4, "0.006400"),
+                                               (3, "0.020000")])
+def test_cli_respond_material_damping(tmp_path, harmonic, expected):
+    out = tmp_path / "o"
+    assert main(["respond", "--out", str(out), *LIGHT,
+                 "--set", "modal.n_max=4",
+                 "--set", "drive.damping=material",
+                 "--set", "material.damping_overrides.4=0.0064",
+                 "--set", f"drive.electrode_harmonic={harmonic}"]) == 0
+    text = (out / "settling.txt").read_text()
+    assert f"damping ratio in effect: {expected}\n" in text
 
 
 def test_cli_fringes_refuses_before_writing(tmp_path, capsys):

@@ -185,6 +185,20 @@ def test_time_step_guards(basis, drive):
         min(1.0 / (40.0 * drive.drive_frequency), bound), rel=1e-12)
 
 
+def test_trajectory_size_bound(basis, drive, monkeypatch):
+    dt = 1e-6
+    # a trajectory at the bound is answered, one sample more is refused
+    monkeypatch.setattr(dynamics, "MAX_TRAJECTORY_VALUES", len(basis) * 101)
+    assert respond(basis, drive, duration=100 * dt, dt=dt).q.shape == (
+        len(basis), 101)
+    with pytest.raises(TimeStepError, match="duration 1.010e-04 s at dt = "):
+        respond(basis, drive, duration=101 * dt, dt=dt)
+    monkeypatch.undo()
+    # a duration / dt past the float range is too many samples, not a crash
+    with pytest.raises(TimeStepError, match="gives inf samples"):
+        respond(basis, drive, duration=1e-3, dt=5e-324)
+
+
 def test_state_at_interpolates_exactly(traj):
     i = traj.times.size // 2
     assert np.allclose(traj.state_at(traj.times[i]), traj.q[:, i],

@@ -4,26 +4,13 @@ import pytest
 from statorlab.errors import DomainError, GeometryError
 from statorlab.geometry import (EffectivePlate, Material, StatorGeometry,
                                 fill_factor, homogenize)
+from statorlab.modal import Discretization, ModalBasis
 
 
 def test_default_geometry_fills_base_thickness(geometry):
     assert geometry.base_thickness == pytest.approx(4.02e-3)
     assert geometry.tooth_height == pytest.approx(1.0e-3)
     assert geometry.tooth_band_centroid_radius == pytest.approx(12.5e-3)
-
-
-def test_explicit_consistent_base_thickness_ok():
-    g = StatorGeometry(inner_radius=3.75e-3, outer_radius=15e-3,
-                       tooth_band_inner_radius=10e-3, fixture_radius=6e-3,
-                       base_thickness=4.02e-3)
-    assert g.base_thickness == pytest.approx(4.02e-3)
-
-
-def test_inconsistent_base_thickness_rejected():
-    with pytest.raises(GeometryError):
-        StatorGeometry(inner_radius=3.75e-3, outer_radius=15e-3,
-                       tooth_band_inner_radius=10e-3, fixture_radius=6e-3,
-                       base_thickness=3.5e-3)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -77,8 +64,11 @@ def test_material_validation():
 
 def test_damping_override_lookup():
     m = Material(modal_damping_ratio=0.02, damping_overrides={4: 0.0064})
-    assert m.damping_for(4) == pytest.approx(0.0064)
-    assert m.damping_for(3) == pytest.approx(0.02)
+    assert m.damping_overrides == {4: 0.0064}
+    basis = ModalBasis((), Discretization(), "lookup", m.modal_damping_ratio,
+                       m.damping_overrides)
+    assert basis.damping_for(4) == pytest.approx(0.0064)
+    assert basis.damping_for(3) == pytest.approx(0.02)
 
 
 def test_bending_stiffness_cubic_in_thickness(material):

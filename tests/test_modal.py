@@ -3,6 +3,7 @@ import pytest
 
 from oracle_fd import oracle_frequency
 from statorlab.errors import DiscretizationError, DomainError, NumericalError
+from statorlab.geometry import Material, homogenize
 from statorlab.modal import (EIG_RESIDUAL_TOL, Discretization, Mode,
                              assemble, basis_table, calibrate, eig_residual,
                              format_radial_profiles, harmonic_weight,
@@ -141,6 +142,14 @@ def test_with_damping(basis):
     assert basis.damping_for(4) == pytest.approx(0.02)
     with pytest.raises(DomainError):
         basis.with_damping(1.0)
+
+
+def test_solve_modes_carries_material_damping(geometry):
+    plate = homogenize(geometry, Material(damping_overrides={4: 0.0064}))
+    basis = solve_modes(plate, n_max=4, n_min=3,
+                        disc=Discretization(radial_nodes=32))
+    assert basis.damping_for(4) == 0.0064
+    assert basis.damping_for(3) == 0.02
 
 
 def test_frequency_for_missing_harmonic(basis):
