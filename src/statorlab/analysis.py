@@ -1,7 +1,9 @@
 """Quantitative pipeline: circle sampling, mode identification,
 sinusoid fitting and strobe-phase tracking.
 
-The central fit is f(theta) = A sin(n theta + phi) + delta, solved in its
+A ``CircleSample`` holds uniform angles over the whole circle (spacing
+times count is 2 pi), so the harmonic detection is one ``rfft``.  The
+central fit is f(theta) = A sin(n theta + phi) + delta, solved in its
 linear reparametrization a sin(n theta) + b cos(n theta) + delta so a
 3x3 normal-equation solve (QR fallback) replaces any iterative optimizer.
 
@@ -48,6 +50,8 @@ class CircleSample:
         spacing = np.diff(th)
         if np.ptp(spacing) > 1e-9 * spacing.mean():
             raise SamplingError("theta samples must be uniform")
+        if abs(spacing.mean() * th.size - 2.0 * math.pi) > 1e-9 * 2.0 * math.pi:
+            raise SamplingError("theta samples must cover the whole circle")
         if np.asarray(self.values).shape != th.shape:
             raise SamplingError("values and theta shapes differ")
         if not np.all(np.isfinite(self.values)):
@@ -71,7 +75,9 @@ def detect_mode_number(sample: CircleSample) -> int:
 
     Candidates run up to count/8 (eight samples per lobe pair keeps the
     projection honest); exact ties resolve to the lower harmonic because
-    the scan ascends.
+    the scan ascends.  Over the whole uniform circle the projection onto
+    e^{-i k theta} is the DFT bin k up to a unit phase factor, so one
+    ``rfft`` gives every candidate's magnitude.
     """
     n_max = sample.count // 8
     if n_max < 1:
@@ -82,14 +88,13 @@ def detect_mode_number(sample: CircleSample) -> int:
     rms = float(np.sqrt(np.mean(centered ** 2)))
     if rms < 1e-300:
         raise NoModeError("sample is constant; no harmonic content")
-    k = np.arange(1, n_max + 1)
-    coeff = np.abs(np.exp(-1.0j * np.outer(k, sample.theta)) @ centered) * (2.0 / sample.count)
+    coeff = np.abs(np.fft.rfft(centered)[1:n_max + 1]) * (2.0 / sample.count)
     best = int(np.argmax(coeff))
     if coeff[best] < 1e-9 * rms:
         raise NoModeError(
             f"all harmonic coefficients below the noise floor "
             f"({coeff[best]:.3e} vs rms {rms:.3e})")
-    return int(k[best])
+    return best + 1
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,11 @@ from .geometry import Material, StatorGeometry
 from .modal import Discretization
 
 # upper bounds on the sizes that allocate, checked before anything does:
-# the mesh assembles dense (2 nodes)^2 matrices, a raster holds pixels^2
-# float arrays (about 250 MB at peak for 2048), and detect_mode_number
-# builds a (count / 8) x count complex matrix (33 MB at 4096)
+# the mesh assembles dense (2 nodes)^2 matrices; a raster holds pixels^2
+# float arrays (fringes peaks at 373 MB RSS at 2048, about 200 MB of it the
+# raster grid itself); the circle arrays grow only linearly in count (fit
+# at 4096 took 37 ms and no more memory than at 360), so that bound guards
+# no resource now and stays as a plain limit on what a config may ask for
 MAX_RADIAL_NODES = 512
 MAX_PIXELS = 2048
 MAX_CIRCLE_COUNT = 4096

@@ -22,8 +22,11 @@ the modes whose state is non-zero (its live modes).  Each trajectory keeps
 one shape table per (grid, live modes): renders on one grid with the same
 live modes, such as its envelope and its strobe snapshots, evaluate the
 shapes once, and W(r) is evaluated once per distinct radius of the grid.
-``steady_envelope`` renders the steady phasors Q straight from the drive,
-with no trajectory sampled.
+An envelope contracts the real and imaginary parts of the complex state
+with the real shape table and takes their magnitude on the masked samples
+only, so no complex table or raster is formed.  ``steady_envelope``
+renders the steady phasors Q straight from the drive, with no trajectory
+sampled.
 """
 
 from __future__ import annotations
@@ -315,31 +318,45 @@ def _mode_shapes_on(modes, grid) -> np.ndarray:
 
     W(r) is evaluated once per distinct radius (``grid.radii``) and
     gathered to the samples through ``grid.radius_index``; each row is
-    then multiplied in place by its mode's angular pattern.  Every value
-    equals ``W(r) * angular(theta)`` evaluated sample by sample.
+    then multiplied in place by its mode's angular pattern, formed in one
+    reused buffer.  Every value equals ``W(r) * angular(theta)`` evaluated
+    sample by sample.
     """
-    shapes = radial_shapes(modes, grid.radii)[:, grid.radius_index]
+    shapes = np.take(radial_shapes(modes, grid.radii), grid.radius_index,
+                     axis=1)
     theta = grid.theta[grid.mask]
+    angular = np.empty_like(theta)
     for row, m in zip(shapes, modes):
-        row *= m.angular(theta)
+        if m.angular_leak:
+            row *= m.angular(theta)
+            continue
+        trig = np.cos if m.orientation == "cos" else np.sin
+        row *= trig(np.multiply(m.n, theta, out=angular), out=angular)
     return shapes
 
 
 def _render(basis: ModalBasis, grid, state: np.ndarray,
             trajectory: ModalTrajectory | None = None) -> np.ndarray:
-    """sum_k state_k Phi_k on the grid; off-annulus samples stay zero.
+    """sum_k state_k Phi_k on the grid, or its magnitude for a complex
+    ``state``; off-annulus samples stay zero.
 
     Only modes with a non-zero state are evaluated: through the shape
     table ``trajectory`` keeps for ``grid`` and those modes, or afresh
-    without one.
+    without one.  A complex state contracts its real and imaginary parts
+    with the real shape table and takes the magnitude on the masked
+    samples only, so the table and the raster stay real.
     """
-    values = np.zeros(grid.shape, dtype=state.dtype)
+    values = np.zeros(grid.shape)
     live = np.flatnonzero(state)
     if live.size:
         modes = tuple(basis.modes[k] for k in live)
         shapes = (_mode_shapes_on(modes, grid) if trajectory is None
                   else trajectory._shapes_on(grid, modes))
-        values[grid.mask] = state[live] @ shapes
+        if np.iscomplexobj(state):
+            re, im = np.stack([state[live].real, state[live].imag]) @ shapes
+            values[grid.mask] = np.hypot(re, im, out=re)
+        else:
+            values[grid.mask] = state[live] @ shapes
     return values
 
 
@@ -361,7 +378,7 @@ def field_envelope(basis: ModalBasis, trajectory: ModalTrajectory,
     included); with ``t = None``, the analytic steady state.
     """
     state = trajectory.steady if t is None else trajectory.state_at(t)
-    values = np.abs(_render(basis, grid, state, trajectory))
+    values = _render(basis, grid, state, trajectory)
     label = "steady envelope" if t is None else f"envelope t={t:.9e}s"
     return DisplacementField(grid, values, time=(trajectory.times[-1] if t is None else t),
                              label=label)
@@ -376,7 +393,7 @@ def steady_envelope(basis: ModalBasis, drive: DriveConfig,
     sampling one.
     """
     state = _mode_constants(basis, drive)[2]
-    return DisplacementField(grid, np.abs(_render(basis, grid, state)),
+    return DisplacementField(grid, _render(basis, grid, state),
                              label="steady envelope")
 
 

@@ -9,6 +9,10 @@ Two instrument models, both per-pixel maps of dynamics fields:
 * stroboscopic double exposure: the wrapped phase of k times the
   displacement difference between two strobe instants of the drive cycle.
 
+Both work on the masked samples only, mostly in place, and scatter the
+result into a zeroed raster once.  Phase noise is still drawn over the
+whole raster and then masked, so a seeded generator gives the same map.
+
 J0 is computed in numpy by ``_j0``.  Below x = 50 it sums a degree-5
 Taylor series about the nearest node of a table with spacing 1/128.  The
 table holds J0 and J1 at each node, from the midpoint trapezoid rule on
@@ -110,7 +114,20 @@ class PhaseMap:
 
 def wrap_phase(x):
     """Map radians into the principal interval (-pi, pi]."""
-    return np.mod(np.asarray(x, dtype=float) - np.pi, -2.0 * np.pi) + np.pi
+    return _wrap_in_place(np.array(x, dtype=float))[()]
+
+
+def _wrap_in_place(w: np.ndarray) -> np.ndarray:
+    """``wrap_phase`` of a float array, computed in its own storage."""
+    w -= np.pi
+    # np.mod(w, -2 pi) is w itself for -2 pi < w < 0, so only the samples
+    # outside that range (few, for a phase map) pay for the slow np.mod
+    outside = (w <= -2.0 * np.pi) | (w >= 0.0)
+    w[outside] = np.mod(w[outside], -2.0 * np.pi)
+    w += np.pi
+    # np.mod rounds to -2 pi for the float just above an odd multiple of pi
+    w[w == -np.pi] = np.pi
+    return w
 
 
 _J0_NODES = 128          # Taylor table nodes per unit of x
@@ -163,16 +180,20 @@ def _j0_far(x: np.ndarray) -> np.ndarray:
 def _j0(x) -> np.ndarray:
     """Bessel J0 of an array of finite x >= 0 (``J0(0) == 1.0`` exactly)."""
     x = np.asarray(x, dtype=float)
-    xs = np.minimum(x, _J0_SPLIT) * _J0_NODES
+    xs = np.minimum(x, _J0_SPLIT)
+    xs *= _J0_NODES
     j = (xs + 0.5).astype(np.intp)               # nearest table node
-    u = xs - j                                   # exact, |u| <= 1/2
+    u = np.subtract(xs, j, out=xs)               # exact, |u| <= 1/2
     c = _j0_table()
     out = np.take(c[_J0_DEGREE], j)
+    term = np.empty_like(out)
     for k in range(_J0_DEGREE - 1, -1, -1):
         out *= u
-        out += np.take(c[k], j)
+        # j is in range; "clip" lets take write to term unbuffered
+        out += np.take(c[k], j, out=term, mode="clip")
     far = x >= _J0_SPLIT
-    out[far] = _j0_far(x[far])
+    if far.any():
+        out[far] = _j0_far(x[far])
     return out
 
 
@@ -185,15 +206,17 @@ def time_averaged(amplitude_field: DisplacementField,
     nothing.  Amplitudes beyond ``optics.amplitude_clip`` are clipped with
     a warning instead of erroring.
     """
-    a = np.abs(amplitude_field.values)
     mask = amplitude_field.mask
-    if np.any(a[mask] > optics.amplitude_clip):
+    a = np.abs(amplitude_field.values[mask], dtype=float)
+    if np.any(a > optics.amplitude_clip):
         warnings.warn(
             f"amplitudes above {optics.amplitude_clip:g} m clipped in "
             "time-averaged rendering", RuntimeWarning, stacklevel=2)
-        a = np.minimum(a, optics.amplitude_clip)
+        np.minimum(a, optics.amplitude_clip, out=a)
+    a *= optics.sensitivity_factor
+    fringe = _j0(a)
     intensity = np.zeros(amplitude_field.values.shape)
-    intensity[mask] = _j0(optics.sensitivity_factor * a[mask]) ** 2
+    intensity[mask] = np.square(fringe, out=fringe)
     return FringeImage(amplitude_field.grid, intensity,
                        label=f"time-averaged {amplitude_field.label}".strip())
 
@@ -219,16 +242,19 @@ def stroboscopic(field_a: DisplacementField, field_b: DisplacementField,
     reproducibility; required when the noise model is on).
     """
     require_same_grid(field_a.grid, field_b.grid, "stroboscopic")
-    raw = optics.sensitivity_factor * (field_b.values - field_a.values)
+    mask = field_a.mask
+    raw = field_b.values[mask].astype(float, copy=False)
+    raw -= field_a.values[mask]
+    raw *= optics.sensitivity_factor
     if optics.noise_sigma > 0.0:
         if rng is None:
             raise DomainError(
                 "noise_sigma > 0 needs an explicit seeded rng for "
                 "reproducible output")
-        raw = raw + rng.normal(0.0, optics.noise_sigma, size=raw.shape)
-    phase = np.zeros(raw.shape)
-    mask = field_a.mask
-    phase[mask] = wrap_phase(raw[mask])
+        # drawn over the whole raster, so the seeded stream stays the same
+        raw += rng.normal(0.0, optics.noise_sigma, size=mask.shape)[mask]
+    phase = np.zeros(mask.shape)
+    phase[mask] = _wrap_in_place(raw)
     return PhaseMap(field_a.grid, phase,
                     strobe_phase_a=float(strobe_phases[0]),
                     strobe_phase_b=float(strobe_phases[1]))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import j0, jn_zeros
 
 from statorlab import holography
@@ -41,9 +43,23 @@ def test_optical_config_validation():
     (3 * np.pi, np.pi),
     (2 * np.pi, 0.0),
     (-0.1, -0.1),
+    (np.nextafter(np.pi, 4), np.pi),   # np.mod rounds this one to -2 pi
 ])
 def test_wrap_phase_table(x, expected):
     assert wrap_phase(x) == pytest.approx(expected, abs=1e-12)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(np.nextafter(np.pi, np.inf))
+@example(np.nextafter(np.pi, -np.inf))
+@example(np.nextafter(-np.pi, np.inf))
+@example(np.nextafter(-np.pi, -np.inf))
+@example(np.nextafter(3 * np.pi, np.inf))
+@example(np.nextafter(-399 * np.pi, -np.inf))
+def test_wrap_phase_lands_in_the_principal_interval(x):
+    w = wrap_phase(x)
+    assert -np.pi < w <= np.pi
 
 
 def test_wrap_phase_periodicity():
