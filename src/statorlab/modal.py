@@ -28,7 +28,15 @@ residual in ``np.longdouble`` once per iterate, and the gate
 Each 4x4 element block shares its two end DOFs with the next element, so K
 and M are banded with half-bandwidth 3: the polish converts only their 7
 diagonals to long double and forms ``K w`` and ``M w`` from them in
-O(7 ndof) instead of O(ndof^2).
+O(7 ndof) instead of O(ndof^2).  A pair whose first residual is already
+under half the gate, where the polish loop would stop anyway, is returned
+as the solver gave it, without a correction solve.
+
+Everything in the assembly that does not depend on ``n`` (mesh, Hermite
+values at the Gauss points, quadrature weights, the mass blocks, which
+change with ``n`` only by ``c_n``) is built once per ``solve_modes`` call
+by ``_element_terms``; each harmonic forms only its curvature terms and
+stiffness blocks.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -144,45 +153,96 @@ def _gauss_rule(order: int):
     return xi, w
 
 
-def _assemble_full(plate: EffectivePlate, n: int, disc: Discretization):
-    """Assemble (K, M, nodes) on the active domain, clamp not yet applied.
+class _ElementTerms(NamedTuple):
+    """The parts of the assembly that do not depend on the harmonic n.
 
-    Every element is evaluated at once; the Gauss points are summed one
-    at a time in ascending order, so each entry sees the same rounding as
-    an element-by-element loop.
+    The shape-function terms are (shape function, element, Gauss point),
+    ``r2`` and the stiffness quadrature weight ``stiff_weight`` (element,
+    Gauss point); ``Me`` is the Gauss-summed (4, 4, element) mass block,
+    ``even`` and ``odd`` the (row, column) index arrays that place the
+    even and the odd elements' 4x4 blocks.
+    """
+
+    nodes: np.ndarray
+    N: np.ndarray
+    d2N: np.ndarray
+    r2: np.ndarray
+    dN_r: np.ndarray
+    d2N_dN_r: np.ndarray
+    twist: np.ndarray
+    stiff_weight: np.ndarray
+    Me: np.ndarray
+    even: tuple
+    odd: tuple
+
+
+def _element_terms(plate: EffectivePlate, disc: Discretization) -> _ElementTerms:
+    """Mesh, Hermite values, quadrature weights and mass blocks of ``plate``.
+
+    Every expression keeps the operand order ``_assemble_full`` had when
+    it formed them per harmonic, so K and M are bit-identical to an
+    element-by-element loop.
     """
     nodes = _active_mesh(plate, disc)
-    ndof = 2 * nodes.size
     xi_q, w_q = _gauss_rule(disc.quadrature_order)
-    nu = plate.poisson_ratio
-    cn = harmonic_weight(n)
-
     h = np.diff(nodes)[:, None]        # (element, 1)
     r = nodes[:-1, None] + xi_q * h    # (element, Gauss point)
     # (shape function, element, Gauss point); x[:, None] * y below is the
     # outer product over the shape functions
     N, dN, d2N = _hermite(np.broadcast_to(xi_q, r.shape), h)
     r2 = np.float_power(r, 2)          # pow(), as in _hermite
-    lap = d2N + dN / r - (n * n) * N / r2
-    curv_t = dN / r - (n * n) * N / r2
-    twist = dN / r - N / r2
+    dN_r = dN / r
     # each element lies inside one region, so D and mu at its Gauss points
     # are the element's constants
-    stiff = (w_q * h * r * plate.D(r)) * (
-        lap[:, None] * lap
-        - (1.0 - nu) * (d2N[:, None] * curv_t + curv_t[:, None] * d2N)
-        + 2.0 * (1.0 - nu) * n * n * (twist[:, None] * twist))
     mass = (w_q * h * r * plate.mu(r)) * (N[:, None] * N)
     # sum() adds the Gauss points one at a time in ascending order
-    Ke = sum(stiff[..., q] for q in range(xi_q.size))
     Me = sum(mass[..., q] for q in range(xi_q.size))
-
+    # an element's DOFs are 2e..2e+3: even elements never overlap each
+    # other, nor do odd ones, so each set is placed by one fancy index
     dofs = np.arange(4)[:, None] + 2 * np.arange(nodes.size - 1)   # (4, element)
-    K = np.zeros((ndof, ndof))
-    M = np.zeros((ndof, ndof))
-    np.add.at(K, (dofs[:, None], dofs), cn * Ke)
-    np.add.at(M, (dofs[:, None], dofs), cn * Me)
-    return K, M, nodes
+    even, odd = dofs[:, 0::2], dofs[:, 1::2]
+    return _ElementTerms(nodes, N, d2N, r2, dN_r, d2N + dN_r, dN_r - N / r2,
+                         (w_q * h * r) * plate.D(r), Me,
+                         (even[:, None], even), (odd[:, None], odd))
+
+
+def _scatter(blocks: np.ndarray, terms: _ElementTerms) -> np.ndarray:
+    """The global matrix of (4, 4, element) ``blocks``.
+
+    The even elements' blocks are added to zeros, then the odd ones': an
+    entry gets at most two addends, so the sum (signed zeros included) is
+    the one an element-by-element loop forms.
+    """
+    ndof = 2 * terms.nodes.size
+    A = np.zeros((ndof, ndof))
+    A[terms.even] += blocks[..., 0::2]
+    A[terms.odd] += blocks[..., 1::2]
+    return A
+
+
+def _assemble_full(plate: EffectivePlate, n: int, disc: Discretization,
+                   terms: _ElementTerms | None = None):
+    """Assemble (K, M, nodes) on the active domain, clamp not yet applied.
+
+    Every element is evaluated at once; the Gauss points are summed one
+    at a time in ascending order, so each entry sees the same rounding as
+    an element-by-element loop.  ``terms`` are ``_element_terms(plate,
+    disc)``, built here when not given; only the n-dependent curvature
+    terms and the stiffness blocks are formed per call.
+    """
+    t = _element_terms(plate, disc) if terms is None else terms
+    nu = plate.poisson_ratio
+    cn = harmonic_weight(n)
+
+    n2N_r2 = (n * n) * t.N / t.r2
+    lap = t.d2N_dN_r - n2N_r2
+    curv_t = t.dN_r - n2N_r2
+    stiff = t.stiff_weight * (
+        lap[:, None] * lap
+        - (1.0 - nu) * (t.d2N[:, None] * curv_t + curv_t[:, None] * t.d2N)
+        + 2.0 * (1.0 - nu) * n * n * (t.twist[:, None] * t.twist))
+    Ke = sum(stiff[..., q] for q in range(stiff.shape[-1]))
+    return _scatter(cn * Ke, t), _scatter(cn * t.Me, t), t.nodes
 
 
 def assemble(plate: EffectivePlate, n: int, disc: Discretization | None = None):
@@ -483,12 +543,18 @@ def _polish_eigenpair(K: np.ndarray, M: np.ndarray, lam: float, w: np.ndarray):
     their 7 diagonals are converted to long double, once, and each iterate
     costs one ``_extended_residual``, i.e. two band products of O(7 ndof).
 
+    A pair whose first residual is already under ``0.5 *
+    EIG_RESIDUAL_TOL``, the loop's own stopping point, is returned as it
+    came: a correction could only lower a residual the gate accepts.
+
     Returns ``(residual, lam, w)`` of the iterate with the smallest
     residual, the residual being ``eig_residual(K, M, lam, w)``.
     """
     Kb, Mb = _band(K, _HALF_BANDWIDTH), _band(M, _HALF_BANDWIDTH)
     score, wl, Kw, Mw = _extended_residual(Kb, Mb, lam, w)
     best = (score, lam, w)
+    if score < 0.5 * EIG_RESIDUAL_TOL:
+        return best
     for _ in range(3):
         lam = float((wl @ Kw) / (wl @ Mw))
         r = (Kw - np.longdouble(lam) * Mw).astype(float)
@@ -520,8 +586,9 @@ def solve_modes(plate: EffectivePlate, n_max: int, modes_per_n: int = 1,
         raise DomainError(f"n_max ({n_max}) must be >= n_min ({n_min})")
     disc = disc or Discretization()
     modes = []
+    terms = _element_terms(plate, disc)
     for n in range(n_min, n_max + 1):
-        K, M, nodes = _assemble_full(plate, n, disc)
+        K, M, nodes = _assemble_full(plate, n, disc, terms)
         Kc, Mc = K[2:, 2:], M[2:, 2:]
         # equilibrate: slope DOFs carry 1/length units, rescale before solving
         s = np.ones(Kc.shape[0])
