@@ -3,9 +3,12 @@ sinusoid fitting and strobe-phase tracking.
 
 A ``CircleSample`` holds uniform angles over the whole circle (spacing
 times count is 2 pi), so the harmonic detection is one ``rfft``.  The
-central fit is f(theta) = A sin(n theta + phi) + delta, solved in its
-linear reparametrization a sin(n theta) + b cos(n theta) + delta so a
-3x3 normal-equation solve (QR fallback) replaces any iterative optimizer.
+central fit is f(theta) = A sin(n theta + phi) + delta, linear in its
+reparametrization a sin(n theta) + b cos(n theta) + delta.  Over the
+whole uniform circle, and with at least 2n + 2 samples (so bin n is
+neither bin 0 nor the Nyquist bin), sin(n theta), cos(n theta) and 1 are
+orthogonal: the least-squares fit is read from one ``rfft`` of the
+sample, and its residual and covariance have closed forms.
 
 A strobe-phase sweep is classified by three constants: a traveling wave
 has an amplitude CV below ``CV_THRESHOLD`` and a phase slope within
@@ -15,6 +18,7 @@ has an amplitude CV below ``CV_THRESHOLD`` and a phase slope within
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -40,7 +44,13 @@ class CircleSample:
     source: str = "simulation"      # "simulation" | "hologram"
 
     def __post_init__(self):
-        th = np.asarray(self.theta, dtype=float)
+        # stored as float64 arrays, so a list sample fits like its array
+        for name in ("theta", "values"):
+            given = np.asarray(getattr(self, name))
+            if np.iscomplexobj(given):
+                raise DomainError(f"complex {name}; a circle sample is real")
+            object.__setattr__(self, name, np.asarray(given, dtype=np.float64))
+        th = self.theta
         if th.ndim != 1 or th.size < 4:
             raise SamplingError(f"need at least 4 angular samples, got {th.size}")
         if np.any(np.diff(th) <= 0.0):
@@ -52,7 +62,7 @@ class CircleSample:
             raise SamplingError("theta samples must be uniform")
         if abs(spacing.mean() * th.size - 2.0 * math.pi) > 1e-9 * 2.0 * math.pi:
             raise SamplingError("theta samples must cover the whole circle")
-        if np.asarray(self.values).shape != th.shape:
+        if self.values.shape != th.shape:
             raise SamplingError("values and theta shapes differ")
         if not np.all(np.isfinite(self.values)):
             raise DomainError("non-finite sample values")
@@ -120,59 +130,50 @@ class FitResult:
 
 
 def fit_eq1(sample: CircleSample, n: int) -> FitResult:
-    """Least-squares sinusoid fit at a known harmonic.
+    """Least-squares sinusoid fit at a known harmonic, from one ``rfft``.
 
-    Linear in (a, b, delta) with A = sqrt(a^2+b^2), phi = atan2(b, a);
-    normal equations with an lstsq (QR) fallback if the 3x3 system is
-    ill-conditioned.  When A falls below the amplitude floor the phase is
-    reported as 0 by convention.
+    With F the rfft of the N values and theta_0 the first angle,
+    c = (2/N) F[n] e^{-i n theta_0} = b - i a and delta = F[0] / N, so
+    A = sqrt(a^2+b^2) and phi = atan2(b, a).  The residual is the power
+    in every bin but 0 and +-n (Parseval; rfft bins 1 .. ceil(N/2)-1
+    stand for their mirror bins too), summed rather than subtracted from
+    the total so it does not cancel.  With sigma^2 = N rms^2 / (N - 3),
+    var delta = sigma^2 / N and var a = var b = var A = 2 sigma^2 / N.
+    When A falls below the amplitude floor the phase is reported as 0 by
+    convention.
     """
     if n < 1 or int(n) != n:
         raise DomainError(f"harmonic n must be an integer >= 1, got {n}")
     need = max(4, 2 * n + 2)
-    if sample.count < need:
+    count = sample.count
+    if count < need:
         raise SamplingError(
-            f"{sample.count} samples under-resolve n={n} "
+            f"{count} samples under-resolve n={n} "
             f"(need at least {need})")
-    v = np.asarray(sample.values, dtype=float)
-    X = np.column_stack([np.sin(n * sample.theta),
-                         np.cos(n * sample.theta),
-                         np.ones(sample.count)])
-    G = X.T @ X
-    rhs = X.T @ v
-    try:
-        p = np.linalg.solve(G, rhs)
-        if not np.all(np.isfinite(p)):
-            raise np.linalg.LinAlgError("non-finite solution")
-    except np.linalg.LinAlgError:
-        p = np.linalg.lstsq(X, v, rcond=None)[0]
-    a, b, d = (float(x) for x in p)
-    resid = v - X @ p
-    rms_residual = float(np.sqrt(np.mean(resid ** 2)))
+    F = np.fft.rfft(sample.values)
+    c = F[n] * (2.0 / count) * cmath.exp(-1j * n * sample.theta[0])
+    a, b, d = -c.imag, c.real, float(F[0].real) / count
+    power = np.abs(F) ** 2
+    power[0] = power[n] = 0.0
+    mirrored = (count + 1) // 2
+    sumsq = 2.0 * float(power[1:mirrored].sum()) + float(power[mirrored:].sum())
+    rms_residual = math.sqrt(sumsq) / count
     A = math.hypot(a, b)
     phi = math.atan2(b, a)
     if phi <= -math.pi:
         phi = math.pi
 
-    dof = sample.count - 3
-    sigma2 = float(resid @ resid) / dof if dof > 0 else 0.0
-    try:
-        cov_lin = sigma2 * np.linalg.inv(G)
-    except np.linalg.LinAlgError:
-        cov_lin = np.full((3, 3), math.nan)
-    var_a, var_b, var_d = cov_lin[0, 0], cov_lin[1, 1], cov_lin[2, 2]
-    cov_ab = cov_lin[0, 1]
+    var_d = rms_residual ** 2 / (count - 3)
+    var_A = 2.0 * var_d
     floor = max(AMPLITUDE_FLOOR, 1e-12 * max(abs(d), rms_residual))
     if A < floor:
         phi = 0.0
-        var_A = float(max(var_a, var_b))
         var_phi = 0.0
     else:
-        var_A = float((a * a * var_a + b * b * var_b + 2 * a * b * cov_ab) / A ** 2)
-        var_phi = float((b * b * var_a + a * a * var_b - 2 * a * b * cov_ab) / A ** 4)
+        var_phi = var_A / A ** 2
     return FitResult(A=A, n=int(n), phi=phi, delta=d,
                      rms_residual=rms_residual,
-                     covariance=(var_A, 0.0, var_phi, float(var_d)))
+                     covariance=(var_A, 0.0, var_phi, var_d))
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ quoted; a string that would need quoting is refused.
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 
@@ -139,12 +140,18 @@ def read_field_f32(path):
     end = blob.find(b"end-header\n")
     if end < 0 or not blob.startswith(FIELD_MAGIC.encode("ascii")):
         raise DomainError(f"{path}: not a statorlab field dump")
-    header = blob[:end].decode("ascii").splitlines()[1:]
     meta = {}
-    for line in header:
-        key, _, value = line.partition(" ")
-        meta[key] = value
-    shape = tuple(int(s) for s in meta.pop("shape").split("x"))
+    try:
+        for line in blob[:end].decode("ascii").splitlines()[1:]:
+            key, _, value = line.partition(" ")
+            meta[key] = value
+        shape = tuple(int(s) for s in meta.pop("shape").split("x"))
+    except (KeyError, ValueError):      # UnicodeDecodeError is a ValueError
+        raise DomainError(f"{path}: field dump header is not ASCII or has "
+                          "no valid shape line") from None
     payload = blob[end + len(b"end-header\n"):]
+    if min(shape) < 0 or len(payload) != 4 * math.prod(shape):
+        raise DomainError(f"{path}: {len(payload)} payload bytes do not hold "
+                          f"a float32 array of shape {shape}")
     values = np.frombuffer(payload, dtype="<f4").reshape(shape)
     return values.astype(float), meta

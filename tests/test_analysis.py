@@ -37,6 +37,14 @@ def test_circle_sample_validation():
     bad[7] = np.nan
     with pytest.raises(DomainError, match="finite"):
         _sample(bad)
+    with pytest.raises(DomainError, match="complex values"):
+        _sample(np.sin(3 * THETA) + 1e-3j)
+    # a list sample is stored as a float64 array and fits like its array
+    values = np.sin(3 * THETA + 0.3) + 0.1
+    listed = _sample(values.tolist(), theta=THETA.tolist())
+    assert listed.theta.dtype == listed.values.dtype == np.float64
+    assert listed.count == 360 and detect_mode_number(listed) == 3
+    assert fit_eq1(listed, 3) == fit_eq1(_sample(values), 3)
 
 
 def test_from_field_ring_and_raster():

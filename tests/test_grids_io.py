@@ -239,6 +239,19 @@ def test_field_f32_rejects_foreign_files(tmp_path):
     path.write_bytes(b"PNG nonsense")
     with pytest.raises(DomainError):
         ioutil.read_field_f32(path)
+    # malformed dumps: no shape line, a non-ASCII header, a payload 4 or 2
+    # bytes short
+    good = tmp_path / "good.f32"
+    ioutil.write_field_f32(good, np.arange(6.0).reshape(2, 3), {"kind": "x"})
+    blob = good.read_bytes()
+    for name, data in (("noshape.f32", blob.replace(b"shape 2x3\n", b"")),
+                       ("latin1.f32", blob.replace(b"kind x", b"kind \xff")),
+                       ("short4.f32", blob[:-4]),
+                       ("short2.f32", blob[:-2])):
+        path = tmp_path / name
+        path.write_bytes(data)
+        with pytest.raises(DomainError, match=name):
+            ioutil.read_field_f32(path)
 
 
 def test_atomic_write_creates_directories(tmp_path):
