@@ -192,6 +192,13 @@ def cmd_fringes(plan) -> int:
                       pixels=plan["image"]["pixels"],
                       margin=plan["image"]["margin"])
 
+    # stroboscopic pair at the configured offset for the driven harmonic,
+    # rendered before the first write so a failing strobe leaves no files
+    offset = plan["analysis"]["strobe_offset_deg"]
+    pmap = _strobe_pair(basis, traj, grid, optics, 0.0, offset,
+                        np.random.default_rng(plan["seed"]),
+                        plan["analysis"]["settling_band"])
+
     # one time-averaged image per harmonic, each driven at its own resonance
     written = []
     for n in basis.harmonics():
@@ -205,11 +212,6 @@ def cmd_fringes(plan) -> int:
         ioutil.write_pgm(_outpath(plan, name), img.intensity, img.mask)
         written.append(name)
 
-    # stroboscopic pair at the configured offset for the driven harmonic
-    offset = plan["analysis"]["strobe_offset_deg"]
-    pmap = _strobe_pair(basis, traj, grid, optics, 0.0, offset,
-                        np.random.default_rng(plan["seed"]),
-                        plan["analysis"]["settling_band"])
     stem = f"strobe_md{drive.electrode_harmonic}_{0:g}d_{offset:g}d"
     ioutil.write_pgm(_outpath(plan, stem + ".pgm"),
                      ioutil.phase_to_unit(pmap.phase), pmap.mask)
@@ -240,14 +242,14 @@ def cmd_fit(plan) -> int:
         n = analysis.detect_mode_number(sample)
         fit = analysis.fit_eq1(sample, n)
         fits.append((s_deg, fit))
+    # both may refuse the fits, so they run before the first write
+    track = analysis.track_strobe_phase(fits)
+    asym = analysis.asymmetry_index(fits)
     ioutil.write_csv(_outpath(plan, "fit.csv"),
                      ("strobe_phase_deg", "n", "A_m", "phi_rad", "delta_m",
                       "residual_m"),
                      zip(*[(s, f.n, f.A, f.phi, f.delta, f.rms_residual)
                            for s, f in fits]))
-
-    track = analysis.track_strobe_phase(fits)
-    asym = analysis.asymmetry_index(fits)
     lines = [
         "strobe-phase fit summary",
         f"circle radius: {ana['circle_radius'] * 1e3:.2f} mm "

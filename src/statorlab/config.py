@@ -14,7 +14,8 @@ import copy
 import json
 import math
 
-from .errors import STROBE_STEP_LIMIT_DEG, ConfigError, GeometryError
+from .errors import (STROBE_SPAN_LIMIT_DEG, STROBE_STEP_LIMIT_DEG, ConfigError,
+                     GeometryError)
 from .geometry import Material, StatorGeometry
 from .modal import Discretization
 
@@ -51,7 +52,6 @@ DEFAULT_CONFIG = {
         "n_max": 7,
         "modes_per_n": 1,
         "radial_nodes": Discretization.radial_nodes,
-        "quadrature_order": Discretization.quadrature_order,
         "calibrate": True,
         "calibration_target_n": 1,
         "calibration_target_hz": 3680.0,
@@ -259,8 +259,7 @@ def build_modal_plan(cfg: dict) -> dict:
         "modes_per_n": _int("modal", sec, "modes_per_n", minimum=1),
         "discretization": Discretization(
             radial_nodes=_int("modal", sec, "radial_nodes", minimum=8,
-                              maximum=MAX_RADIAL_NODES),
-            quadrature_order=_int("modal", sec, "quadrature_order", minimum=4)),
+                              maximum=MAX_RADIAL_NODES)),
         "calibrate": sec.get("calibrate"),
         "calibration_target_n": _int("modal", sec, "calibration_target_n",
                                      minimum=0),
@@ -343,6 +342,15 @@ def build_analysis_plan(cfg: dict) -> dict:
         raise ConfigError(
             "analysis.strobe_phases_deg: consecutive strobe phases must be "
             f"less than {STROBE_STEP_LIMIT_DEG:g} deg apart, got {phases!r}")
+    offset = _num("analysis", sec, "strobe_offset_deg")
+    # fringes strobes at 0 and the offset, fit at each phase and phase + offset
+    last = max(0.0, max(phases)) + offset
+    if last > STROBE_SPAN_LIMIT_DEG:
+        raise ConfigError(
+            "analysis.strobe_offset_deg: the last strobe, max(0, max("
+            f"strobe_phases_deg)) + strobe_offset_deg = {last:g} deg, lies "
+            f"past the {STROBE_SPAN_LIMIT_DEG:g} deg of the run's last two "
+            "drive cycles")
     theta = sec.get("probe_theta")
     if not _is_number(theta):
         raise ConfigError(
@@ -353,7 +361,7 @@ def build_analysis_plan(cfg: dict) -> dict:
         "circle_radius": _num("analysis", sec, "circle_radius"),
         "circle_count": _int("analysis", sec, "circle_count", minimum=8,
                              maximum=MAX_CIRCLE_COUNT),
-        "strobe_offset_deg": _num("analysis", sec, "strobe_offset_deg"),
+        "strobe_offset_deg": offset,
         "strobe_phases_deg": [float(p) for p in phases],
         "settling_band": _num("analysis", sec, "settling_band", maximum=0.5),
         "settling_time_target": _num("analysis", sec, "settling_time_target"),
@@ -416,6 +424,12 @@ def validate_config(cfg: dict) -> dict:
             f"modal.n_max {n_max} is too high for geometry.notch_count "
             f"{notches}: the homogenized plate needs 2 * n_max < notch_count "
             "(or notch_count 0)")
+    # the driven harmonic's resonance and mode come from the solved basis
+    n_d, n_min = plan["drive"]["electrode_harmonic"], plan["modal"]["n_min"]
+    if not n_min <= n_d <= n_max:
+        raise ConfigError(
+            f"drive.electrode_harmonic {n_d} lies outside the solved harmonics "
+            f"modal.n_min..n_max = {n_min}..{n_max}")
     # every sampling radius lies on the moving plate: (clamp, rim]
     rim, clamp = geometry.outer_radius, geometry.fixture_radius
     ana = plan["analysis"]

@@ -283,7 +283,12 @@ def settling_damping_ratio(t_settle: float, drive_frequency: float,
         raise DomainError("t_settle and drive_frequency must be positive")
     if not 0.0 < band < 1.0:
         raise DomainError(f"band must be in (0, 1), got {band}")
-    return math.log(1.0 / band) / (t_settle * 2.0 * math.pi * drive_frequency)
+    try:
+        return math.log(1.0 / band) / (t_settle * 2.0 * math.pi * drive_frequency)
+    except ZeroDivisionError:
+        raise DomainError(
+            f"t_settle {t_settle} s times drive_frequency {drive_frequency} Hz "
+            "underflows to zero") from None
 
 
 def calibrate_force_per_volt(basis: ModalBasis, drive: DriveConfig,
@@ -310,7 +315,12 @@ def calibrate_force_per_volt(basis: ModalBasis, drive: DriveConfig,
     zeta = basis.damping_for(mode.n)
     den = math.hypot(w0 * w0 - w * w, 2.0 * zeta * w0 * w)
     needed_force = target_amplitude / abs(shape) * den
-    return needed_force / (0.5 * drive.peak_to_peak_voltage * math.pi * moment)
+    try:
+        return needed_force / (0.5 * drive.peak_to_peak_voltage * math.pi * moment)
+    except ZeroDivisionError:
+        raise DomainError(
+            f"peak-to-peak voltage {drive.peak_to_peak_voltage} V underflows "
+            "the drive force to zero") from None
 
 
 def _mode_shapes_on(modes, grid) -> np.ndarray:

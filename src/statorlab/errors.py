@@ -5,6 +5,9 @@ config validation and the layers raising them check."""
 # this wide between consecutive strobes aliases in the unwrap (and at
 # exactly 180 deg the direction of travel is lost)
 STROBE_STEP_LIMIT_DEG = 180.0
+# a strobe fires that many degrees into the last two drive cycles of the run
+# (t_end - 2T + deg/360 T), so no strobe instant may lie past this
+STROBE_SPAN_LIMIT_DEG = 720.0
 
 
 class StatorLabError(Exception):

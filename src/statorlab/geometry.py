@@ -134,7 +134,11 @@ class Material:
 
     def bending_stiffness(self, thickness: float) -> float:
         """Plate bending stiffness E t^3 / (12 (1 - nu^2)) [N m]."""
-        return self.youngs_modulus * thickness**3 / (12.0 * (1.0 - self.poisson_ratio**2))
+        try:
+            return self.youngs_modulus * thickness**3 / (12.0 * (1.0 - self.poisson_ratio**2))
+        except OverflowError:
+            raise GeometryError(
+                f"plate thickness {thickness} m overflows the bending stiffness") from None
 
 
 @dataclass(frozen=True)

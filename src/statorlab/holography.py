@@ -57,9 +57,11 @@ class OpticalConfig:
         if self.sensitivity_factor is None:
             object.__setattr__(self, "sensitivity_factor",
                                4.0 * math.pi / self.wavelength)
-        if self.sensitivity_factor <= 0.0:
+        # 4 pi / lambda is inf for a subnormal wavelength
+        if not 0.0 < self.sensitivity_factor < math.inf:
             raise DomainError(
-                f"sensitivity_factor must be positive, got {self.sensitivity_factor}")
+                "sensitivity_factor must be positive and finite, got "
+                f"{self.sensitivity_factor}")
         if not 0.0 < self.strobe_duty <= 0.2:
             raise DomainError(
                 f"strobe_duty must be in (0, 0.2], got {self.strobe_duty}")
@@ -104,8 +106,9 @@ class PhaseMap:
         if self.phase.shape != self.grid.shape:
             raise DomainError("phase shape does not match grid")
         valid = self.phase[self.grid.mask]
-        if valid.size and (valid.min() <= -math.pi or valid.max() > math.pi):
-            raise DomainError("wrapped phase outside (-pi, pi]")
+        # written so that a NaN (noise draws that overflowed) fails it too
+        if valid.size and not (valid.min() > -math.pi and valid.max() <= math.pi):
+            raise DomainError("wrapped phase outside (-pi, pi] or not finite")
 
     @property
     def mask(self) -> np.ndarray:

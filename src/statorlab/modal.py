@@ -32,19 +32,18 @@ O(7 ndof) instead of O(ndof^2).  A pair whose first residual is already
 under half the gate, where the polish loop would stop anyway, is returned
 as the solver gave it, without a correction solve.
 
-Everything in the assembly that does not depend on ``n`` (mesh, Hermite
-values at the Gauss points, quadrature weights, the mass blocks, which
-change with ``n`` only by ``c_n``) is built once per ``solve_modes`` call
-by ``_element_terms``; each harmonic forms only its curvature terms and
-stiffness blocks.
+``solve_modes`` assembles every harmonic in one pass of
+``_harmonic_matrices``: what does not depend on ``n`` (mesh, Hermite values
+at the Gauss points, the stiffness weight, the mass blocks, which change
+with ``n`` only by ``c_n``) is formed once, and each harmonic forms only
+its curvature terms and stiffness blocks.  The element integrals use a
+fixed 6-point Gauss rule, the order the eigen gate was measured at.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -58,6 +57,10 @@ _HALF_BANDWIDTH = 3
 # 3-point Gauss-Legendre rule on [-1, 1]: exact for Mode.radial_moment's
 # degree-4 integrand
 _MOMENT_XI, _MOMENT_W = np.polynomial.legendre.leggauss(3)
+# 6-point Gauss-Legendre rule mapped to [0, 1] for the element integrals;
+# the eigen gate's refusal set was measured at this order
+_QUAD_XI, _QUAD_W = np.polynomial.legendre.leggauss(6)
+_QUAD_XI, _QUAD_W = 0.5 * (_QUAD_XI + 1.0), 0.5 * _QUAD_W
 # Subspace iteration keeps k + 2 columns for k wanted pairs.  A pass shrinks
 # the error of pair j by lam_j / lam_(k+3); over the 81 modal_sweep designs
 # at 32-128 nodes and n = 0..7 that ratio is at worst 0.031 for k = 1 and
@@ -69,18 +72,15 @@ _SUBSPACE_PASSES = 8
 
 @dataclass(frozen=True)
 class Discretization:
-    """Radial mesh resolution and element quadrature order."""
+    """Radial mesh resolution; the element quadrature order is fixed."""
 
     radial_nodes: int = 64
-    quadrature_order: int = 6
+    quadrature_order = _QUAD_XI.size      # a class constant, not a field
 
     def __post_init__(self):
         if self.radial_nodes < 8:
             raise DiscretizationError(
                 f"radial_nodes must be >= 8, got {self.radial_nodes}")
-        if self.quadrature_order < 4:
-            raise DiscretizationError(
-                f"quadrature_order must be >= 4, got {self.quadrature_order}")
 
 
 def harmonic_weight(n: int) -> float:
@@ -143,106 +143,66 @@ def _hermite(xi: np.ndarray, h: np.ndarray | float):
     return N, dN, d2N
 
 
-@functools.lru_cache(maxsize=8)
-def _gauss_rule(order: int):
-    """Gauss-Legendre points and weights of ``order`` mapped to [0, 1]."""
-    xi, w = np.polynomial.legendre.leggauss(order)
-    xi, w = 0.5 * (xi + 1.0), 0.5 * w
-    xi.setflags(write=False)
-    w.setflags(write=False)
-    return xi, w
+def _scatter(blocks: np.ndarray, dofs: np.ndarray) -> np.ndarray:
+    """The global matrix of (4, 4, element) ``blocks`` on (4, element) ``dofs``.
 
-
-class _ElementTerms(NamedTuple):
-    """The parts of the assembly that do not depend on the harmonic n.
-
-    The shape-function terms are (shape function, element, Gauss point),
-    ``r2`` and the stiffness quadrature weight ``stiff_weight`` (element,
-    Gauss point); ``Me`` is the Gauss-summed (4, 4, element) mass block,
-    ``even`` and ``odd`` the (row, column) index arrays that place the
-    even and the odd elements' 4x4 blocks.
+    An element's DOFs are 2e..2e+3: even elements never overlap each
+    other, nor do odd ones, so each set is placed by one fancy index.  The
+    even elements' blocks are added to zeros, then the odd ones': an entry
+    gets at most two addends, so the sum (signed zeros included) is the
+    one an element-by-element loop forms.
     """
-
-    nodes: np.ndarray
-    N: np.ndarray
-    d2N: np.ndarray
-    r2: np.ndarray
-    dN_r: np.ndarray
-    d2N_dN_r: np.ndarray
-    twist: np.ndarray
-    stiff_weight: np.ndarray
-    Me: np.ndarray
-    even: tuple
-    odd: tuple
-
-
-def _element_terms(plate: EffectivePlate, disc: Discretization) -> _ElementTerms:
-    """Mesh, Hermite values, quadrature weights and mass blocks of ``plate``.
-
-    Every expression keeps the operand order ``_assemble_full`` had when
-    it formed them per harmonic, so K and M are bit-identical to an
-    element-by-element loop.
-    """
-    nodes = _active_mesh(plate, disc)
-    xi_q, w_q = _gauss_rule(disc.quadrature_order)
-    h = np.diff(nodes)[:, None]        # (element, 1)
-    r = nodes[:-1, None] + xi_q * h    # (element, Gauss point)
-    # (shape function, element, Gauss point); x[:, None] * y below is the
-    # outer product over the shape functions
-    N, dN, d2N = _hermite(np.broadcast_to(xi_q, r.shape), h)
-    r2 = np.float_power(r, 2)          # pow(), as in _hermite
-    dN_r = dN / r
-    # each element lies inside one region, so D and mu at its Gauss points
-    # are the element's constants
-    mass = (w_q * h * r * plate.mu(r)) * (N[:, None] * N)
-    # sum() adds the Gauss points one at a time in ascending order
-    Me = sum(mass[..., q] for q in range(xi_q.size))
-    # an element's DOFs are 2e..2e+3: even elements never overlap each
-    # other, nor do odd ones, so each set is placed by one fancy index
-    dofs = np.arange(4)[:, None] + 2 * np.arange(nodes.size - 1)   # (4, element)
-    even, odd = dofs[:, 0::2], dofs[:, 1::2]
-    return _ElementTerms(nodes, N, d2N, r2, dN_r, d2N + dN_r, dN_r - N / r2,
-                         (w_q * h * r) * plate.D(r), Me,
-                         (even[:, None], even), (odd[:, None], odd))
-
-
-def _scatter(blocks: np.ndarray, terms: _ElementTerms) -> np.ndarray:
-    """The global matrix of (4, 4, element) ``blocks``.
-
-    The even elements' blocks are added to zeros, then the odd ones': an
-    entry gets at most two addends, so the sum (signed zeros included) is
-    the one an element-by-element loop forms.
-    """
-    ndof = 2 * terms.nodes.size
+    ndof = dofs[-1, -1] + 1
     A = np.zeros((ndof, ndof))
-    A[terms.even] += blocks[..., 0::2]
-    A[terms.odd] += blocks[..., 1::2]
+    for part in (slice(0, None, 2), slice(1, None, 2)):
+        d = dofs[:, part]
+        A[d[:, None], d] += blocks[..., part]
     return A
 
 
-def _assemble_full(plate: EffectivePlate, n: int, disc: Discretization,
-                   terms: _ElementTerms | None = None):
-    """Assemble (K, M, nodes) on the active domain, clamp not yet applied.
+def _harmonic_matrices(plate: EffectivePlate, disc: Discretization, harmonics):
+    """Yield (K, M, nodes) of each harmonic in ``harmonics``, clamp not applied.
 
-    Every element is evaluated at once; the Gauss points are summed one
-    at a time in ascending order, so each entry sees the same rounding as
-    an element-by-element loop.  ``terms`` are ``_element_terms(plate,
-    disc)``, built here when not given; only the n-dependent curvature
-    terms and the stiffness blocks are formed per call.
+    The terms that do not depend on n are formed once; each harmonic forms
+    only its curvature terms and stiffness blocks.  Every element is
+    evaluated at once and the Gauss points are summed one at a time in
+    ascending order, so each entry sees the same rounding as an
+    element-by-element loop.
     """
-    t = _element_terms(plate, disc) if terms is None else terms
+    nodes = _active_mesh(plate, disc)
+    h = np.diff(nodes)[:, None]        # (element, 1)
+    r = nodes[:-1, None] + _QUAD_XI * h    # (element, Gauss point)
+    # (shape function, element, Gauss point); x[:, None] * y below is the
+    # outer product over the shape functions
+    N, dN, d2N = _hermite(np.broadcast_to(_QUAD_XI, r.shape), h)
+    r2 = np.float_power(r, 2)          # pow(), as in _hermite
+    dN_r = dN / r
+    d2N_dN_r = d2N + dN_r
+    twist = dN_r - N / r2
+    # each element lies inside one region, so D and mu at its Gauss points
+    # are the element's constants
+    stiff_weight = (_QUAD_W * h * r) * plate.D(r)
+    mass = (_QUAD_W * h * r * plate.mu(r)) * (N[:, None] * N)
+    # sum() adds the Gauss points one at a time in ascending order
+    Me = sum(mass[..., q] for q in range(_QUAD_XI.size))
+    dofs = np.arange(4)[:, None] + 2 * np.arange(nodes.size - 1)   # (4, element)
     nu = plate.poisson_ratio
-    cn = harmonic_weight(n)
+    for n in harmonics:
+        cn = harmonic_weight(n)
+        n2N_r2 = (n * n) * N / r2
+        lap = d2N_dN_r - n2N_r2
+        curv_t = dN_r - n2N_r2
+        stiff = stiff_weight * (
+            lap[:, None] * lap
+            - (1.0 - nu) * (d2N[:, None] * curv_t + curv_t[:, None] * d2N)
+            + 2.0 * (1.0 - nu) * n * n * (twist[:, None] * twist))
+        Ke = sum(stiff[..., q] for q in range(_QUAD_XI.size))
+        yield _scatter(cn * Ke, dofs), _scatter(cn * Me, dofs), nodes
 
-    n2N_r2 = (n * n) * t.N / t.r2
-    lap = t.d2N_dN_r - n2N_r2
-    curv_t = t.dN_r - n2N_r2
-    stiff = t.stiff_weight * (
-        lap[:, None] * lap
-        - (1.0 - nu) * (t.d2N[:, None] * curv_t + curv_t[:, None] * t.d2N)
-        + 2.0 * (1.0 - nu) * n * n * (t.twist[:, None] * t.twist))
-    Ke = sum(stiff[..., q] for q in range(stiff.shape[-1]))
-    return _scatter(cn * Ke, t), _scatter(cn * t.Me, t), t.nodes
+
+def _assemble_full(plate: EffectivePlate, n: int, disc: Discretization):
+    """Assemble (K, M, nodes) of harmonic ``n``, clamp not yet applied."""
+    return next(_harmonic_matrices(plate, disc, (n,)))
 
 
 def assemble(plate: EffectivePlate, n: int, disc: Discretization | None = None):
@@ -586,9 +546,9 @@ def solve_modes(plate: EffectivePlate, n_max: int, modes_per_n: int = 1,
         raise DomainError(f"n_max ({n_max}) must be >= n_min ({n_min})")
     disc = disc or Discretization()
     modes = []
-    terms = _element_terms(plate, disc)
-    for n in range(n_min, n_max + 1):
-        K, M, nodes = _assemble_full(plate, n, disc, terms)
+    harmonics = range(n_min, n_max + 1)
+    for n, (K, M, nodes) in zip(harmonics,
+                                _harmonic_matrices(plate, disc, harmonics)):
         Kc, Mc = K[2:, 2:], M[2:, 2:]
         # equilibrate: slope DOFs carry 1/length units, rescale before solving
         s = np.ones(Kc.shape[0])
@@ -658,7 +618,12 @@ def calibrate(plate: EffectivePlate, target: tuple, basis: ModalBasis | None = N
         disc = disc or Discretization()
         probe = solve_modes(plate, n_max=n, n_min=n, modes_per_n=1, disc=disc)
         f_current = probe.frequency_for(n)
-    scale = (f_target / f_current) ** 2
+    try:
+        scale = (f_target / f_current) ** 2
+    except OverflowError:
+        raise DomainError(
+            f"target frequency {f_target} Hz overflows the stiffness scale "
+            f"from {f_current} Hz") from None
     return CalibrationResult(plate=plate.scaled(scale), scale=scale)
 
 

@@ -12,7 +12,9 @@ from statorlab.config import (DEFAULT_CONFIG, apply_overrides, default_config,
 from statorlab.errors import ConfigError
 from statorlab.modal import Discretization, ModalBasis
 
-LIGHT = ["--set", "modal.n_max=2", "--set", "modal.radial_nodes=48"]
+# the driven harmonic must be one of the solved ones, n_min..n_max
+LIGHT = ["--set", "modal.n_max=2", "--set", "modal.radial_nodes=48",
+         "--set", "drive.electrode_harmonic=2"]
 HUGE = 10 ** 400                     # 401 digits, past the float64 range
 
 
@@ -90,6 +92,8 @@ def test_damping_overrides_reach_material():
     ("geometry.bogus=1", "unknown key"),
     # derived as total_height - notch_depth, so no longer a key
     ("geometry.base_thickness=0.00402", "unknown key.*base_thickness"),
+    # the element quadrature is fixed at 6 Gauss points, so no longer a key
+    ("modal.quadrature_order=6", "unknown key.*quadrature_order"),
     ("geometry.inner_radius=-1", "must be positive"),
     ("modal.calibrate=1", "true/false"),
     ("modal.n_max=0", "n_max"),
@@ -125,6 +129,14 @@ def test_damping_overrides_reach_material():
     ("analysis.strobe_phases_deg=[0,30,300]", "less than 180 deg apart"),
     ("analysis.strobe_phases_deg=[0,200,400]", "less than 180 deg apart"),
     ("analysis.strobe_phases_deg=[0,30,360]", "less than 180 deg apart"),
+    # every strobe instant lies in the run's last two drive cycles (720 deg):
+    # fringes strobes at 0 and the offset, fit at each phase and phase + offset
+    ("analysis.strobe_offset_deg=800", "strobe_offset_deg = 950 deg, lies past"),
+    ("analysis.strobe_offset_deg=570.5", "= 720.5 deg, lies past the 720"),
+    ("analysis.strobe_phases_deg=[0,170,340,510,680]", "= 740 deg, lies past"),
+    ("drive.electrode_harmonic=8", "electrode_harmonic 8 lies outside the "
+                                   "solved harmonics modal.n_min..n_max = 1..7"),
+    ("modal.n_min=5", "electrode_harmonic 4 lies outside"),
     # JSON admits NaN, Infinity and integers beyond the float64 range
     ("drive.duration=NaN", "drive.duration: expected a finite number"),
     ("drive.dt=NaN", "drive.dt: expected a finite number"),
@@ -183,6 +195,44 @@ def test_cli_harmonics_past_the_notch_limit_are_config_error(tmp_path,
     assert "config error: modal.n_max" in err
     assert "geometry.notch_count" in err
     assert not (tmp_path / "o").exists()
+
+
+# a strobe past the run, a run too short to strobe and a driven harmonic
+# outside the basis used to fail after the basis solve, fringes after it had
+# written its time-averaged images
+@pytest.mark.parametrize("stage,override,code,fragment", [
+    ("fringes", "analysis.strobe_offset_deg=800", 2, "lies past the 720 deg"),
+    ("fit", "analysis.strobe_phases_deg=[0,170,340,510,680]", 2,
+     "lies past the 720 deg"),
+    ("respond", "drive.electrode_harmonic=9", 2,
+     "electrode_harmonic 9 lies outside"),
+    ("fringes", "drive.duration=1e-4", 3, "shorter than two drive cycles"),
+])
+def test_cli_strobe_and_harmonic_failures_leave_no_output(tmp_path, capsys, stage,
+                                                          override, code, fragment):
+    rc = main([stage, "--out", str(tmp_path / "o"), "--set", "modal.n_max=4",
+               "--set", "modal.radial_nodes=48", "--set", "image.pixels=64",
+               "--set", "drive.duration=0.002", "--set", override])
+    assert rc == code
+    assert fragment in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_strobes_up_to_the_last_two_cycles_run(tmp_path):
+    # 358 + the default 60 deg offset = 418 deg, inside the 720 deg span
+    rc = main(["fit", "--out", str(tmp_path / "o"), "--set", "modal.n_max=4",
+               "--set", "modal.radial_nodes=48", "--set", "drive.duration=0.002",
+               "--set", "analysis.strobe_phases_deg=[0,179,358]"])
+    assert rc == 0
+    assert (tmp_path / "o" / "fit_summary.txt").exists()
+
+
+# the last strobe exactly at 720 deg, the driven harmonic at either end
+@pytest.mark.parametrize("override", ["analysis.strobe_offset_deg=570",
+                                      "drive.electrode_harmonic=1",
+                                      "drive.electrode_harmonic=7"])
+def test_validate_config_accepts_the_strobe_and_harmonic_limits(override):
+    assert validate_config(apply_overrides(default_config(), [override]))
 
 
 def test_validate_config_accepts_each_size_bound():

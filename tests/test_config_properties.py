@@ -15,6 +15,7 @@ import sys
 import tempfile
 import warnings
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -91,3 +92,40 @@ def test_mutated_config_never_ends_in_a_traceback(path, value):
                 warnings.simplefilter("ignore", RuntimeWarning)
                 rc = main(argv)
             assert rc in (0, 2, 3), f"{section}.{key}={value!r}: exit {rc}"
+
+
+def _default(section, key):
+    return (DEFAULT_CONFIG if section is None else DEFAULT_CONFIG[section])[key]
+
+
+# keys that hold a number (type() leaves bools out), or a placeholder that
+# stands for one
+NUMERIC_KEYS = [path for path in KEYS
+                if type(_default(*path)) in (int, float)
+                or _default(*path) in ("auto", "resonance", "settling-target")]
+# overflow in a power, a subnormal that a product rounds to zero, the
+# float64 ceiling and the first integer past int64
+EXTREMES = [1e160, 1.7e308, 5e-324, 2 ** 63]
+
+
+# every numeric key at each extreme, on fit and fringes: exit 0, or exit 2
+# or 3 with a message and no output directory
+@pytest.mark.parametrize("value", EXTREMES, ids=repr)
+@pytest.mark.parametrize("path", NUMERIC_KEYS,
+                         ids=lambda p: ".".join(filter(None, p)))
+def test_extreme_numbers_end_in_an_exit_code(path, value, tmp_path, capsys):
+    section, key = path
+    cfg = copy.deepcopy(LIGHT)
+    (cfg if section is None else cfg.setdefault(section, {}))[key] = value
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    for stage in ("fit", "fringes"):
+        out = tmp_path / stage
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rc = main(["--config", str(config), "--out", str(out), stage])
+        err = capsys.readouterr().err
+        assert rc in (0, 2, 3), f"{stage}: exit {rc}"
+        if rc:
+            assert err.strip(), f"{stage}: exit {rc} without a message"
+            assert not out.exists(), f"{stage}: exit {rc} left {sorted(os.listdir(out))}"

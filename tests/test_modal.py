@@ -27,8 +27,6 @@ def test_harmonic_weight():
 def test_discretization_validation():
     with pytest.raises(DiscretizationError):
         Discretization(radial_nodes=4)
-    with pytest.raises(DiscretizationError):
-        Discretization(quadrature_order=2)
 
 
 def test_assemble_matrices_symmetric_definite(plate):
