@@ -1,7 +1,7 @@
 """statorlab: modal simulation and holographic-observable synthesis
 for traveling-wave ultrasonic stators."""
 
-__version__ = "0.1.3"
+__version__ = "0.1.4"
 
 import importlib
 

@@ -51,6 +51,8 @@ DEFAULT_CONFIG = {
         "n_min": 1,
         "n_max": 7,
         "modes_per_n": 1,
+        # 32: the coarsest mesh whose answers stay within the bounds of
+        # tests/test_mesh_convergence.py against twice the mesh
         "radial_nodes": Discretization.radial_nodes,
         "calibrate": True,
         "calibration_target_n": 1,
@@ -308,13 +310,16 @@ def build_drive_plan(cfg: dict) -> dict:
 def build_optics_plan(cfg: dict) -> dict:
     sec = _section(cfg, "optics")
     sens = _num("optics", sec, "sensitivity_factor", allow=("auto",))
+    noise = _num("optics", sec, "noise_sigma", positive=False, minimum=0.0)
+    # a phase noise of pi or more leaves no fringe order to unwrap
+    if noise >= math.pi:
+        raise ConfigError(f"optics.noise_sigma: must be < pi rad, got {noise}")
     return {
         "wavelength": _num("optics", sec, "wavelength"),
         "sensitivity_factor": None if sens == "auto" else sens,
         "strobe_duty": _num("optics", sec, "strobe_duty", maximum=0.2),
         "amplitude_clip": _num("optics", sec, "amplitude_clip"),
-        "noise_sigma": _num("optics", sec, "noise_sigma", positive=False,
-                            minimum=0.0),
+        "noise_sigma": noise,
     }
 
 

@@ -40,7 +40,8 @@ class StatorGeometry:
         Outer edge of the clamped center region [m]; the plate is held
         fixed for ``r <= fixture_radius``.
     total_height : float
-        Full stator height including the tooth layer [m].
+        Full stator height including the tooth layer [m]; below
+        ``outer_radius``, since the model is a plate.
     notch_count : int
         Number of milled notches (0 reproduces the un-notched flat design).
     notch_width : float
@@ -75,6 +76,10 @@ class StatorGeometry:
         if not 0.0 < self.notch_depth < self.total_height:
             raise GeometryError(
                 f"notch_depth must lie in (0, total_height), got {self.notch_depth}")
+        if self.total_height >= self.outer_radius:
+            raise GeometryError(
+                f"total_height {self.total_height} must be below outer_radius "
+                f"{self.outer_radius}: a plate is thinner than its radius")
         if self.notch_count < 0 or int(self.notch_count) != self.notch_count:
             raise GeometryError(f"notch_count must be a non-negative integer, got {self.notch_count}")
         if self.notch_width <= 0.0:

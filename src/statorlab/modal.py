@@ -38,6 +38,11 @@ at the Gauss points, the stiffness weight, the mass blocks, which change
 with ``n`` only by ``c_n``) is formed once, and each harmonic forms only
 its curvature terms and stiffness blocks.  The element integrals use a
 fixed 6-point Gauss rule, the order the eigen gate was measured at.
+
+The default mesh is 32 radial nodes, the coarsest rung of 16/32/64 whose
+answers on the default config stay within 5e-7 in frequency and 5e-6 of
+the envelope peak of twice the mesh (``tests/test_mesh_convergence.py``;
+``tools/mesh_convergence.py`` prints the numbers).
 """
 
 from __future__ import annotations
@@ -74,7 +79,7 @@ _SUBSPACE_PASSES = 8
 class Discretization:
     """Radial mesh resolution; the element quadrature order is fixed."""
 
-    radial_nodes: int = 64
+    radial_nodes: int = 32
     quadrature_order = _QUAD_XI.size      # a class constant, not a field
 
     def __post_init__(self):

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import warnings
 
 import numpy as np
@@ -69,7 +70,7 @@ def test_validate_config_builds_plan():
     assert set(plan) == {"geometry", "material", "modal", "drive", "optics",
                          "analysis", "image", "output_dir", "seed"}
     assert plan["geometry"].outer_radius == 15.0e-3
-    assert plan["modal"]["discretization"].radial_nodes == 64
+    assert plan["modal"]["discretization"].radial_nodes == 32
     assert plan["drive"]["drive_frequency"] == "resonance"
     assert plan["optics"]["sensitivity_factor"] is None
     assert plan["seed"] == 20230425
@@ -168,6 +169,30 @@ def test_cli_config_error_exit(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error:" in err and "geometry.inner_radius" in err
     assert not (tmp_path / "o").exists()
+
+
+# finite but unphysical: a "plate" as thick as its radius or far thicker,
+# and a phase noise that leaves no fringe order to unwrap
+@pytest.mark.parametrize("override,fragment", [
+    (f"geometry.total_height={2 ** 63}", "total_height 9.223372036854776e+18 "
+                                         "must be below outer_radius 0.015"),
+    ("geometry.total_height=0.015", "total_height 0.015 must be below"),
+    ("optics.noise_sigma=1e160", "optics.noise_sigma: must be < pi rad"),
+    (f"optics.noise_sigma={math.pi!r}", "optics.noise_sigma: must be < pi rad"),
+])
+def test_cli_unphysical_magnitude_is_config_error(tmp_path, capsys, override,
+                                                  fragment):
+    rc = main(["fringes", "--out", str(tmp_path / "o"), "--set", override])
+    assert rc == 2
+    assert f"config error: {fragment}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_validate_config_accepts_the_largest_noise_below_pi():
+    below = math.nextafter(math.pi, 0.0)
+    plan = validate_config(apply_overrides(default_config(),
+                                           [f"optics.noise_sigma={below!r}"]))
+    assert plan["optics"]["noise_sigma"] == below
 
 
 def test_cli_non_finite_number_is_config_error(tmp_path, capsys):
