@@ -98,11 +98,6 @@ def _driven_run(plan):
     return basis, drive, traj
 
 
-def _optics(plan):
-    from .holography import OpticalConfig
-    return OpticalConfig(**plan["optics"])
-
-
 def _outpath(plan, name: str) -> str:
     return os.path.join(plan["output_dir"], name)
 
@@ -186,7 +181,7 @@ def cmd_fringes(plan) -> int:
     from .dynamics import steady_envelope
     from .grids import RasterGrid
     basis, drive, traj = _driven_run(plan)
-    optics = _optics(plan)
+    optics = holography.OpticalConfig(**plan["optics"])
     grid = RasterGrid(inner_radius=plan["geometry"].inner_radius,
                       outer_radius=plan["geometry"].outer_radius,
                       pixels=plan["image"]["pixels"],
@@ -227,7 +222,7 @@ def cmd_fit(plan) -> int:
     from . import analysis, holography
     from .grids import RingGrid
     basis, drive, traj = _driven_run(plan)
-    optics = _optics(plan)
+    optics = holography.OpticalConfig(**plan["optics"])
     ana = plan["analysis"]
     ring = RingGrid(radius=ana["circle_radius"], count=ana["circle_count"])
     rng = np.random.default_rng(plan["seed"])

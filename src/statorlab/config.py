@@ -14,8 +14,8 @@ import copy
 import json
 import math
 
-from .errors import (STROBE_SPAN_LIMIT_DEG, STROBE_STEP_LIMIT_DEG, ConfigError,
-                     GeometryError)
+from .errors import (J0_FIRST_ZERO, STROBE_SPAN_LIMIT_DEG,
+                     STROBE_STEP_LIMIT_DEG, ConfigError, GeometryError)
 from .geometry import Material, StatorGeometry
 from .modal import Discretization
 
@@ -309,16 +309,29 @@ def build_drive_plan(cfg: dict) -> dict:
 
 def build_optics_plan(cfg: dict) -> dict:
     sec = _section(cfg, "optics")
+    wavelength = _num("optics", sec, "wavelength")
     sens = _num("optics", sec, "sensitivity_factor", allow=("auto",))
+    clip = _num("optics", sec, "amplitude_clip")
     noise = _num("optics", sec, "noise_sigma", positive=False, minimum=0.0)
+    # k = (2 pi / lambda)(cos theta_i + cos theta_o) and the geometry factor
+    # is at most 2: "auto", normal illumination and view, is the largest k
+    k = 4.0 * math.pi / wavelength if sens == "auto" else sens
+    if k > 4.0 * math.pi / wavelength * (1 + 1e-12):
+        raise ConfigError(f"optics.sensitivity_factor: {sens} rad/m exceeds "
+                          "4 pi / optics.wavelength")
+    # amplitudes are clipped before J0: past the clip no fringe can render
+    if J0_FIRST_ZERO / k > clip * (1 + 1e-12):
+        raise ConfigError(f"optics: the first dark fringe lies at "
+                          f"{J0_FIRST_ZERO / k:.6g} m, beyond "
+                          f"optics.amplitude_clip {clip:g} m")
     # a phase noise of pi or more leaves no fringe order to unwrap
     if noise >= math.pi:
         raise ConfigError(f"optics.noise_sigma: must be < pi rad, got {noise}")
     return {
-        "wavelength": _num("optics", sec, "wavelength"),
+        "wavelength": wavelength,
         "sensitivity_factor": None if sens == "auto" else sens,
         "strobe_duty": _num("optics", sec, "strobe_duty", maximum=0.2),
-        "amplitude_clip": _num("optics", sec, "amplitude_clip"),
+        "amplitude_clip": clip,
         "noise_sigma": noise,
     }
 

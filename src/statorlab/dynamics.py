@@ -17,11 +17,13 @@ step-size stability limit, and linearity in the drive voltage is
 bit-exact.
 
 Only driven modes cost anything: ``respond`` evaluates the rows whose
-steady or transient term is non-zero, and a field render contracts over
-the modes whose state is non-zero (its live modes).  Each trajectory keeps
-one shape table per (grid, live modes): renders on one grid with the same
-live modes, such as its envelope and its strobe snapshots, evaluate the
-shapes once, and W(r) is evaluated once per distinct radius of the grid.
+steady or transient term is non-zero, a probe reads only those rows, and
+a field render contracts over the modes whose state is non-zero (its live
+modes).  Probes and renders alike contract the real and imaginary parts
+of the state with real shape tables.  Each trajectory keeps one shape
+table per (grid, live modes): renders on one grid with the same live
+modes, such as its envelope and its strobe snapshots, evaluate the shapes
+once, and W(r) is evaluated once per distinct radius of the grid.
 An envelope contracts the real and imaginary parts of the complex state
 with the real shape table and takes their magnitude on the masked samples
 only, so no complex table or raster is formed.  ``steady_envelope``
@@ -291,6 +293,15 @@ def settling_damping_ratio(t_settle: float, drive_frequency: float,
             "underflows to zero") from None
 
 
+def _driven_mode(basis: ModalBasis, drive: DriveConfig) -> Mode:
+    """The lowest cos mode of the driven harmonic."""
+    found = basis.select(drive.electrode_harmonic, "cos")
+    if not found:
+        raise DomainError(
+            f"harmonic n={drive.electrode_harmonic} not present in basis")
+    return found[0]
+
+
 def calibrate_force_per_volt(basis: ModalBasis, drive: DriveConfig,
                              target_amplitude: float, radius: float) -> float:
     """Forcing gain that yields ``target_amplitude`` at ``radius``.
@@ -301,11 +312,7 @@ def calibrate_force_per_volt(basis: ModalBasis, drive: DriveConfig,
     """
     if target_amplitude <= 0.0:
         raise DomainError(f"target amplitude must be positive, got {target_amplitude}")
-    found = basis.select(drive.electrode_harmonic, "cos")
-    if not found:
-        raise DomainError(
-            f"harmonic n={drive.electrode_harmonic} not present in basis")
-    mode = found[0]
+    mode = _driven_mode(basis, drive)
     shape = float(mode.radial(radius))
     moment = mode.radial_moment()
     if abs(shape) < 1e-30 or abs(moment) < 1e-30:
@@ -453,25 +460,32 @@ def probe(basis: ModalBasis, trajectory: ModalTrajectory, points,
           band: float = 0.05) -> list:
     """Sample the response at fixed (r, theta) points.
 
-    Settling time per point is the first instant after which the envelope
-    stays within ``band`` (default +-5 percent) of the steady amplitude.
+    Only the rows ``respond`` filled are evaluated: their shapes at every
+    point form one table, contracted with the real and imaginary parts of
+    the state.  Settling time per point is the first instant after which
+    the envelope stays within ``band`` (default +-5 percent) of the steady
+    amplitude.
     """
+    points = [(r, th) for r, th in points]
+    r, theta = np.array(points, dtype=float).reshape(-1, 2).T
     rim = max(m.outer_radius for m in basis)
-    results = []
-    for (r, th) in points:
-        if not 0.0 <= r <= rim * (1 + 1e-12):
-            raise DomainError(
-                f"probe point r={r} outside the stator (rim {rim:.6g} m)")
-        shapes = radial_shapes(basis.modes, r) * np.array([m.angular(th) for m in basis])
-        u = shapes @ trajectory.q           # complex series
-        steady = abs(complex(shapes @ trajectory.steady))
-        env = np.abs(u)
-        results.append(ProbeSeries(
-            point=(r, th), times=trajectory.times, displacement=u.real,
-            envelope=env, steady_amplitude=steady,
-            settling_time=_settling_time(trajectory.times, env, steady, band),
-            band=band))
-    return results
+    outside = r[~((0.0 <= r) & (r <= rim * (1 + 1e-12)))]
+    if outside.size:
+        raise DomainError(f"probe point r={outside[0]} outside the stator "
+                          f"(rim {rim:.6g} m)")
+    live = trajectory.q.any(axis=1)
+    modes = [m for m, on in zip(basis, live) if on]
+    shapes = radial_shapes(modes, r)
+    shapes *= np.reshape([m.angular(theta) for m in modes], shapes.shape)
+    q, steady = trajectory.q[live], trajectory.steady[live]
+    disp = shapes.T @ q.real
+    # np.abs of the complex series, not np.hypot: their last bits differ,
+    # and the settling times read them
+    env = np.abs(disp + 1j * (shapes.T @ q.imag))
+    amp = np.hypot(shapes.T @ steady.real, shapes.T @ steady.imag).tolist()
+    times = trajectory.times
+    return [ProbeSeries(p, times, d, e, a, _settling_time(times, e, a, band),
+                        band) for p, d, e, a in zip(points, disp, env, amp)]
 
 
 def _settling_time(times: np.ndarray, envelope: np.ndarray,
@@ -562,11 +576,7 @@ def mixed_response(basis: ModalBasis, external: ExternalMode,
     Lorentzian magnitudes at the drive frequency (weights normalized to
     sum 1 so the output stays an O(1) comparison pattern, not meters).
     """
-    found = basis.select(drive.electrode_harmonic, "cos")
-    if not found:
-        raise DomainError(
-            f"harmonic n={drive.electrode_harmonic} not present in basis")
-    mode = found[0]
+    mode = _driven_mode(basis, drive)
     w_m = lorentzian_weight(mode.frequency, basis.damping_for(mode.n),
                             drive.drive_frequency)
     w_e = lorentzian_weight(external.frequency, external.damping_ratio,

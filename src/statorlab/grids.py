@@ -1,12 +1,15 @@
 """Sampling grids and displacement fields.
 
-Two grid flavors share one duck-typed surface (``r``, ``theta``, ``mask``,
-``shape`` plus a ``describe()`` metadata dict).  ``radii`` holds the
-distinct radii of the masked samples in ascending order and
-``radius_index`` each masked sample's position in it, so
-``radii[radius_index]`` is ``r[mask]``; a function of the radius alone is
-evaluated once per distinct radius.  None of these arrays take part in
-equality, hashing or ``describe()``:
+Both grid flavors inherit one sample surface from ``_Samples`` and fill
+it in one routine: per-sample ``r``, ``theta`` and ``mask``, plus
+``radii``, the distinct radii of the masked samples in ascending order
+(from ``np.unique``), and ``radius_index``, each masked sample's position
+in it, so ``radii[radius_index]`` is ``r[mask]`` and a function of the
+radius alone is evaluated once per distinct radius.  None of these arrays
+take part in equality, hashing or ``describe()``; two grids are the same
+grid when their defining fields are equal, which is the test
+``require_same_grid`` applies and the key a trajectory's shape tables use.
+Each flavor also has ``shape`` and a ``describe()`` metadata dict:
 
 * ``RasterGrid``: a square camera-style image in Cartesian pixel layout,
   with polar coordinates precomputed per pixel and an annulus validity
@@ -31,18 +34,32 @@ from .errors import DomainError, GridMismatchError
 
 
 @dataclass(frozen=True)
-class RasterGrid:
+class _Samples:
+    """The sample surface both grids fill: per-sample ``r``, ``theta`` and
+    ``mask``, and the distinct masked radii with each masked sample's index
+    into them.  None of it takes part in equality, hashing or ``repr``."""
+
+    r: np.ndarray = field(init=False, repr=False, compare=False)
+    theta: np.ndarray = field(init=False, repr=False, compare=False)
+    mask: np.ndarray = field(init=False, repr=False, compare=False)
+    radii: np.ndarray = field(init=False, repr=False, compare=False)
+    radius_index: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def _fill(self, r: np.ndarray, theta: np.ndarray, mask: np.ndarray):
+        radii, radius_index = np.unique(r[mask], return_inverse=True)
+        for name, value in (("r", r), ("theta", theta), ("mask", mask),
+                            ("radii", radii), ("radius_index", radius_index)):
+            object.__setattr__(self, name, value)
+
+
+@dataclass(frozen=True)
+class RasterGrid(_Samples):
     """Square pixel grid covering the stator annulus plus a margin."""
 
     inner_radius: float
     outer_radius: float
     pixels: int = 256
     margin: float = 1.05
-    r: np.ndarray = field(init=False, repr=False, compare=False)
-    theta: np.ndarray = field(init=False, repr=False, compare=False)
-    mask: np.ndarray = field(init=False, repr=False, compare=False)
-    radii: np.ndarray = field(init=False, repr=False, compare=False)
-    radius_index: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.inner_radius < self.outer_radius:
@@ -59,15 +76,8 @@ class RasterGrid:
         x = axis[None, :]
         y = axis[::-1, None]
         r = np.hypot(x, y)
-        theta = np.mod(np.arctan2(y, x), 2.0 * np.pi)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "theta", theta)
-        mask = (r >= self.inner_radius) & (r <= self.outer_radius)
-        object.__setattr__(self, "mask", mask)
-        # the square's eightfold symmetry repeats most radii
-        radii, index = np.unique(r[mask], return_inverse=True)
-        object.__setattr__(self, "radii", radii)
-        object.__setattr__(self, "radius_index", index)
+        self._fill(r, np.mod(np.arctan2(y, x), 2.0 * np.pi),
+                   (r >= self.inner_radius) & (r <= self.outer_radius))
 
     @property
     def shape(self):
@@ -86,30 +96,20 @@ class RasterGrid:
 
 
 @dataclass(frozen=True)
-class RingGrid:
+class RingGrid(_Samples):
     """Uniform angular samples along one circle of the annulus."""
 
     radius: float
     count: int = 360
-    r: np.ndarray = field(init=False, repr=False, compare=False)
-    theta: np.ndarray = field(init=False, repr=False, compare=False)
-    mask: np.ndarray = field(init=False, repr=False, compare=False)
-    radii: np.ndarray = field(init=False, repr=False, compare=False)
-    radius_index: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.radius <= 0.0:
             raise DomainError(f"ring radius must be positive, got {self.radius}")
         if self.count < 8:
             raise DomainError(f"ring sample count must be >= 8, got {self.count}")
-        theta = 2.0 * np.pi * np.arange(self.count) / self.count
-        r = np.full(self.count, self.radius)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "mask", np.ones(self.count, dtype=bool))
-        object.__setattr__(self, "radii", r[:1].copy())
-        object.__setattr__(self, "radius_index",
-                           np.zeros(self.count, dtype=np.intp))
+        self._fill(np.full(self.count, self.radius),
+                   2.0 * np.pi * np.arange(self.count) / self.count,
+                   np.ones(self.count, dtype=bool))
 
     @property
     def shape(self):
@@ -120,9 +120,8 @@ class RingGrid:
 
 
 def require_same_grid(a, b, context: str):
-    if a.describe() != b.describe():
-        raise GridMismatchError(
-            f"{context}: grids differ ({a.describe()} vs {b.describe()})")
+    if a != b:
+        raise GridMismatchError(f"{context}: grids differ ({a!r} vs {b!r})")
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, UnwrapError
+from .errors import J0_FIRST_ZERO, DomainError, UnwrapError
 from .grids import (DisplacementField, RasterGrid, RingGrid, _bilinear_blend,
                     _bilinear_stencil, _raster_ring, require_same_grid)
 
@@ -230,8 +230,7 @@ def first_dark_fringe_amplitude(optics: OpticalConfig) -> float:
     The first zero of J0 divided by the sensitivity factor; 101.8 nm for
     532 nm in the default reflection geometry.
     """
-    # first zero of J0: float(scipy.special.jn_zeros(0, 1)[0]) bit for bit
-    return 2.4048255576957724 / optics.sensitivity_factor
+    return J0_FIRST_ZERO / optics.sensitivity_factor
 
 
 def stroboscopic(field_a: DisplacementField, field_b: DisplacementField,

@@ -301,8 +301,7 @@ def test_criterion_10_mixed_mode_response(basis, criterion_log):
 
 
 def test_criterion_11_seeded_determinism(tmp_path, criterion_log):
-    overrides = ["--set", "modal.n_max=5", "--set", "modal.radial_nodes=48",
-                 "--set", "drive.duration=0.004",
+    overrides = ["--set", "modal.n_max=5", "--set", "drive.duration=0.004",
                  "--set", "optics.noise_sigma=0.02",
                  "--set", "image.pixels=64",
                  "--set", "analysis.circle_count=180",

@@ -13,8 +13,7 @@ from pathlib import Path
 
 import statorlab
 
-LIGHT = ["--set", "modal.n_max=4", "--set", "modal.radial_nodes=48",
-         "--set", "image.pixels=64"]
+LIGHT = ["--set", "modal.n_max=4", "--set", "image.pixels=64"]
 
 # runs each stage named in argv[3:] into argv[1] with the overrides in
 # argv[2] and prints, as JSON, the scipy modules loaded once each stage is done

@@ -10,13 +10,15 @@ from statorlab import reference
 from statorlab.cli import _solve_basis, main
 from statorlab.config import (DEFAULT_CONFIG, apply_overrides, default_config,
                               deep_merge, load_config, validate_config)
-from statorlab.errors import ConfigError
+from statorlab.errors import J0_FIRST_ZERO, ConfigError
 from statorlab.modal import Discretization, ModalBasis
 
 # the driven harmonic must be one of the solved ones, n_min..n_max
-LIGHT = ["--set", "modal.n_max=2", "--set", "modal.radial_nodes=48",
-         "--set", "drive.electrode_harmonic=2"]
+LIGHT = ["--set", "modal.n_max=2", "--set", "drive.electrode_harmonic=2"]
 HUGE = 10 ** 400                     # 401 digits, past the float64 range
+# the longest wavelength whose first dark fringe sits at the default clip,
+# about 1.045e-5 m
+CLIP_WAVELENGTH = 4 * math.pi * 2e-6 / J0_FIRST_ZERO
 
 
 def test_default_config_is_isolated():
@@ -172,13 +174,22 @@ def test_cli_config_error_exit(tmp_path, capsys):
 
 
 # finite but unphysical: a "plate" as thick as its radius or far thicker,
-# and a phase noise that leaves no fringe order to unwrap
+# a phase noise that leaves no fringe order to unwrap, a sensitivity past
+# 4 pi / lambda, and a first dark fringe beyond the amplitude clip
 @pytest.mark.parametrize("override,fragment", [
     (f"geometry.total_height={2 ** 63}", "total_height 9.223372036854776e+18 "
                                          "must be below outer_radius 0.015"),
     ("geometry.total_height=0.015", "total_height 0.015 must be below"),
     ("optics.noise_sigma=1e160", "optics.noise_sigma: must be < pi rad"),
     (f"optics.noise_sigma={math.pi!r}", "optics.noise_sigma: must be < pi rad"),
+    ("optics.sensitivity_factor=1e160", "optics.sensitivity_factor: 1e+160 "
+                                        "rad/m exceeds 4 pi / optics.wavelength"),
+    ("optics.wavelength=1e160", "optics: the first dark fringe lies at "
+                                "1.9137e+159 m"),
+    (f"optics.sensitivity_factor={4 * math.pi / 532e-9 * (1 + 1e-9)!r}",
+     "optics.sensitivity_factor: 23620997.419"),
+    (f"optics.wavelength={CLIP_WAVELENGTH * (1 + 1e-9)!r}",
+     "optics: the first dark fringe lies at 2e-06 m"),
 ])
 def test_cli_unphysical_magnitude_is_config_error(tmp_path, capsys, override,
                                                   fragment):
@@ -186,6 +197,17 @@ def test_cli_unphysical_magnitude_is_config_error(tmp_path, capsys, override,
     assert rc == 2
     assert f"config error: {fragment}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("override", [
+    None,
+    f"optics.sensitivity_factor={4 * math.pi / 532e-9!r}",
+    f"optics.wavelength={CLIP_WAVELENGTH!r}",
+], ids=["defaults", "sensitivity-4pi-over-lambda", "dark-fringe-at-clip"])
+def test_validate_config_accepts_physical_optics(override):
+    # raises ConfigError if the optics are refused
+    validate_config(apply_overrides(default_config(),
+                                    [override] if override else []))
 
 
 def test_validate_config_accepts_the_largest_noise_below_pi():
@@ -236,8 +258,8 @@ def test_cli_harmonics_past_the_notch_limit_are_config_error(tmp_path,
 def test_cli_strobe_and_harmonic_failures_leave_no_output(tmp_path, capsys, stage,
                                                           override, code, fragment):
     rc = main([stage, "--out", str(tmp_path / "o"), "--set", "modal.n_max=4",
-               "--set", "modal.radial_nodes=48", "--set", "image.pixels=64",
-               "--set", "drive.duration=0.002", "--set", override])
+               "--set", "image.pixels=64", "--set", "drive.duration=0.002",
+               "--set", override])
     assert rc == code
     assert fragment in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
@@ -246,7 +268,7 @@ def test_cli_strobe_and_harmonic_failures_leave_no_output(tmp_path, capsys, stag
 def test_cli_strobes_up_to_the_last_two_cycles_run(tmp_path):
     # 358 + the default 60 deg offset = 418 deg, inside the 720 deg span
     rc = main(["fit", "--out", str(tmp_path / "o"), "--set", "modal.n_max=4",
-               "--set", "modal.radial_nodes=48", "--set", "drive.duration=0.002",
+               "--set", "drive.duration=0.002",
                "--set", "analysis.strobe_phases_deg=[0,179,358]"])
     assert rc == 0
     assert (tmp_path / "o" / "fit_summary.txt").exists()
@@ -356,8 +378,7 @@ STAGE_FILES = {
 
 
 def test_cli_each_stage_writes_its_files(tmp_path):
-    light = ["--set", "modal.n_max=4", "--set", "modal.radial_nodes=48",
-             "--set", "image.pixels=64"]
+    light = ["--set", "modal.n_max=4", "--set", "image.pixels=64"]
     for stage, expected in STAGE_FILES.items():
         out = tmp_path / stage
         assert main([stage, "--out", str(out), *light]) == 0
@@ -446,8 +467,7 @@ def _probe_columns(path):
 
 
 def test_cli_voltage_linearity(tmp_path):
-    base = ["--set", "modal.n_max=5", "--set", "modal.radial_nodes=48",
-            "--set", "drive.force_per_volt=1.0",
+    base = ["--set", "modal.n_max=5", "--set", "drive.force_per_volt=1.0",
             "--set", "drive.duration=0.002"]
     assert main(["respond", "--out", str(tmp_path / "v100"), *base]) == 0
     assert main(["respond", "--out", str(tmp_path / "v200"), *base,
@@ -462,10 +482,8 @@ def test_cli_voltage_linearity(tmp_path):
 def test_cli_zero_drive_gives_blank_fringes(tmp_path):
     out = tmp_path / "dark"
     rc = main(["fringes", "--out", str(out),
-               "--set", "modal.n_max=4", "--set", "modal.radial_nodes=48",
-               "--set", "drive.force_per_volt=0.0",
-               "--set", "image.pixels=64",
-               "--set", "drive.duration=0.001"])
+               "--set", "modal.n_max=4", "--set", "drive.force_per_volt=0.0",
+               "--set", "image.pixels=64", "--set", "drive.duration=0.001"])
     assert rc == 0
     raw = (out / "timeavg_md4.pgm").read_bytes()
     magic, size, depth, payload = raw.split(b"\n", 3)
@@ -513,8 +531,7 @@ def test_build_report_self_comparison():
 
 
 def test_cli_unsettled_strobes_warn(tmp_path, capsys):
-    light = ["--set", "modal.n_max=4", "--set", "modal.radial_nodes=48",
-             "--set", "image.pixels=64"]
+    light = ["--set", "modal.n_max=4", "--set", "image.pixels=64"]
     short = ["--set", "drive.duration=0.0008"]
     for stage in ("fit", "fringes"):
         with pytest.warns(RuntimeWarning, match="has not settled"):

@@ -68,7 +68,7 @@ def test_single_override_is_rejected_or_finite(path, value):
 
 
 # a config that runs fit and fringes in a fraction of a second
-LIGHT = {"modal": {"n_max": 4, "radial_nodes": 48}, "image": {"pixels": 64},
+LIGHT = {"modal": {"n_max": 4}, "image": {"pixels": 64},
          "drive": {"duration": 0.002}}
 
 

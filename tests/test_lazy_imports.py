@@ -12,8 +12,7 @@ from pathlib import Path
 import statorlab
 
 SRC = str(Path(statorlab.__file__).resolve().parents[1])
-LIGHT = ["--set", "modal.n_max=4", "--set", "modal.radial_nodes=48",
-         "--set", "image.pixels=64"]
+LIGHT = ["--set", "modal.n_max=4", "--set", "image.pixels=64"]
 STAGE_ONLY = {"statorlab.dynamics", "statorlab.grids", "statorlab.holography",
               "statorlab.analysis", "statorlab.reference"}
 
