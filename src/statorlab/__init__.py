@@ -1,7 +1,7 @@
 """statorlab: modal simulation and holographic-observable synthesis
 for traveling-wave ultrasonic stators."""
 
-__version__ = "0.1.5"
+__version__ = "0.1.6"
 
 import importlib
 
@@ -24,20 +24,18 @@ from .errors import (
 # access to one of its names or to itself (PEP 562), so a CLI stage loads
 # only the modules it runs
 _SUBMODULE_NAMES = {
-    "geometry": ("EffectivePlate", "Material", "StatorGeometry",
-                 "fill_factor", "homogenize"),
+    "geometry": ("EffectivePlate", "Material", "StatorGeometry", "homogenize"),
     "modal": ("CalibrationResult", "Discretization", "ModalBasis", "Mode",
               "assemble", "calibrate", "mode_shape_eval", "solve_modes"),
     "grids": ("DisplacementField", "RasterGrid", "RingGrid", "circle_values"),
     "dynamics": ("DriveConfig", "ExternalMode", "MixedResponse",
                  "ModalTrajectory", "ProbeSeries", "calibrate_force_per_volt",
                  "field_at", "field_envelope", "lateral_mode_proxy",
-                 "lorentzian_weight", "mixed_response", "probe", "respond",
-                 "settling_damping_ratio", "snapshot_at_strobe",
-                 "steady_envelope"),
+                 "mixed_response", "probe", "respond", "settling_damping_ratio",
+                 "snapshot_at_strobe", "steady_envelope"),
     "holography": ("FringeImage", "OpticalConfig", "PhaseMap",
                    "first_dark_fringe_amplitude", "stroboscopic",
-                   "time_averaged", "unwrap_to_displacement", "wrap_phase"),
+                   "time_averaged", "unwrap_to_displacement"),
     "analysis": ("CircleSample", "FitResult", "StrobeTrack", "asymmetry_index",
                  "detect_mode_number", "fit_eq1", "track_strobe_phase"),
 }

@@ -108,7 +108,8 @@ def _write_and_print(plan, name: str, text: str) -> None:
 
 
 def _strobe_pair(basis, traj, grid, optics, a_deg, b_deg, rng, band):
-    """Stroboscopic phase map between the strobe instants a_deg and b_deg.
+    """Stroboscopic phase map between the strobe instants a_deg and b_deg,
+    each averaged over the strobe window ``optics.strobe_duty``.
 
     Warns when a driven mode's transient |C| e^{-alpha t} at the earlier
     instant is above ``band`` of its steady amplitude |Q|: the strobes
@@ -116,8 +117,8 @@ def _strobe_pair(basis, traj, grid, optics, a_deg, b_deg, rng, band):
     """
     from . import holography
     from .dynamics import snapshot_at_strobe
-    a = snapshot_at_strobe(basis, traj, grid, a_deg)
-    b = snapshot_at_strobe(basis, traj, grid, b_deg)
+    a = snapshot_at_strobe(basis, traj, grid, a_deg, optics.strobe_duty)
+    b = snapshot_at_strobe(basis, traj, grid, b_deg, optics.strobe_duty)
     left = traj.transient_fraction(min(a.time, b.time))
     if left > band:
         warnings.warn(

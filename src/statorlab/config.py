@@ -315,8 +315,12 @@ def build_optics_plan(cfg: dict) -> dict:
     noise = _num("optics", sec, "noise_sigma", positive=False, minimum=0.0)
     # k = (2 pi / lambda)(cos theta_i + cos theta_o) and the geometry factor
     # is at most 2: "auto", normal illumination and view, is the largest k
-    k = 4.0 * math.pi / wavelength if sens == "auto" else sens
-    if k > 4.0 * math.pi / wavelength * (1 + 1e-12):
+    k_max = 4.0 * math.pi / wavelength
+    if not math.isfinite(k_max):
+        raise ConfigError(f"optics.wavelength: 4 pi / {wavelength} m "
+                          "overflows the float range")
+    k = k_max if sens == "auto" else sens
+    if k > k_max * (1 + 1e-12):
         raise ConfigError(f"optics.sensitivity_factor: {sens} rad/m exceeds "
                           "4 pi / optics.wavelength")
     # amplitudes are clipped before J0: past the clip no fringe can render

@@ -146,22 +146,6 @@ class ModalTrajectory:
     _shape_tables: dict = field(default_factory=dict, init=False, repr=False,
                                 compare=False)
 
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-    @property
-    def steady_state_amplitude(self) -> np.ndarray:
-        """|Q_k| in meters per mode."""
-        return np.abs(self.steady)
-
-    def displacement(self, k: int | None = None) -> np.ndarray:
-        """Physical modal coordinate history (real part)."""
-        return self.q.real if k is None else self.q[k].real
-
-    def envelope(self, k: int | None = None) -> np.ndarray:
-        return np.abs(self.q) if k is None else np.abs(self.q[k])
-
     def velocity(self, k: int | None = None) -> np.ndarray:
         """Exact modal velocity history."""
         w = self.drive.omega
@@ -261,11 +245,14 @@ def respond(basis: ModalBasis, drive: DriveConfig, duration: float,
               * np.exp(np.outer(-alpha[live] + 1.0j * wd[live], times)))
 
     # |q| <= |Q| + |C| e^{-alpha t}: any excursion past that is a bug (the
-    # zero rows of dead modes cannot exceed it)
+    # zero rows of dead modes cannot exceed it), and an overflowed sample
+    # (inf or nan) fails the comparison too
     cap = np.abs(Q[live]) + np.abs(C[live])
-    if np.any(np.abs(q_live).max(axis=1) > cap * (1.0 + ENVELOPE_BOUND_SLACK)
-              + 1e-300):
-        raise NumericalError("modal amplitude exceeded its analytic bound")
+    peak = np.abs(q_live).max(axis=1)
+    if not np.all(np.isfinite(peak)
+                  & (peak <= cap * (1.0 + ENVELOPE_BOUND_SLACK) + 1e-300)):
+        raise NumericalError("modal amplitude is non-finite or exceeded its "
+                             "analytic bound")
     q = np.zeros((len(basis), times.size), dtype=complex)
     q[live] = q_live
     return ModalTrajectory(times=times, q=q, steady=Q, basis=basis,
@@ -563,9 +550,6 @@ class MixedResponse:
     field: DisplacementField
     modal_weight: float
     external_weight: float
-    modal_frequency: float
-    external_frequency: float
-    drive_frequency: float
 
 
 def mixed_response(basis: ModalBasis, external: ExternalMode,
@@ -595,7 +579,4 @@ def mixed_response(basis: ModalBasis, external: ExternalMode,
     values = (w_m * pat_m + w_e * pat_e) / total
     fld = DisplacementField(grid, values, time=0.0,
                             label=f"mixed @ {drive.drive_frequency:g} Hz")
-    return MixedResponse(field=fld, modal_weight=w_m, external_weight=w_e,
-                         modal_frequency=mode.frequency,
-                         external_frequency=external.frequency,
-                         drive_frequency=drive.drive_frequency)
+    return MixedResponse(field=fld, modal_weight=w_m, external_weight=w_e)

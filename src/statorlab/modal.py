@@ -632,11 +632,6 @@ def calibrate(plate: EffectivePlate, target: tuple, basis: ModalBasis | None = N
     return CalibrationResult(plate=plate.scaled(scale), scale=scale)
 
 
-def basis_table(basis: ModalBasis) -> list:
-    """Rows (n, orientation, frequency_Hz) in deterministic basis order."""
-    return [(m.n, m.orientation, m.frequency) for m in basis]
-
-
 def format_radial_profiles(basis: ModalBasis) -> str:
     """Structured text dump of the radial profiles (binary-free).
 

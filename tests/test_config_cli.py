@@ -175,7 +175,8 @@ def test_cli_config_error_exit(tmp_path, capsys):
 
 # finite but unphysical: a "plate" as thick as its radius or far thicker,
 # a phase noise that leaves no fringe order to unwrap, a sensitivity past
-# 4 pi / lambda, and a first dark fringe beyond the amplitude clip
+# 4 pi / lambda or a wavelength whose 4 pi / lambda overflows, and a first
+# dark fringe beyond the amplitude clip; every stage refuses them
 @pytest.mark.parametrize("override,fragment", [
     (f"geometry.total_height={2 ** 63}", "total_height 9.223372036854776e+18 "
                                          "must be below outer_radius 0.015"),
@@ -190,13 +191,16 @@ def test_cli_config_error_exit(tmp_path, capsys):
      "optics.sensitivity_factor: 23620997.419"),
     (f"optics.wavelength={CLIP_WAVELENGTH * (1 + 1e-9)!r}",
      "optics: the first dark fringe lies at 2e-06 m"),
+    ("optics.wavelength=1e-320", "optics.wavelength: 4 pi / 1e-320 m "
+                                 "overflows the float range"),
 ])
 def test_cli_unphysical_magnitude_is_config_error(tmp_path, capsys, override,
                                                   fragment):
-    rc = main(["fringes", "--out", str(tmp_path / "o"), "--set", override])
-    assert rc == 2
-    assert f"config error: {fragment}" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
+    for stage in ("modes", "fringes"):
+        rc = main([stage, "--out", str(tmp_path / "o"), "--set", override])
+        assert rc == 2
+        assert f"config error: {fragment}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("override", [
@@ -340,6 +344,42 @@ def test_cli_respond_refuses_an_oversized_trajectory(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "error: duration" in err and "dt =" in err
     assert not out.exists()
+
+
+# a gain near the float limit overflows the trajectory to inf and nan:
+# respond refuses it instead of writing nan probes
+@pytest.mark.parametrize("overrides", [
+    ["drive.target_edge_amplitude=1e300"],
+    ["drive.peak_to_peak_voltage=1e300", "drive.force_per_volt=1e10"],
+], ids=["target-amplitude", "voltage-and-gain"])
+def test_cli_respond_refuses_a_non_finite_response(tmp_path, capsys,
+                                                    overrides):
+    out = tmp_path / "o"
+    with np.errstate(all="ignore"):
+        rc = main(["respond", "--out", str(out), *LIGHT,
+                   *(arg for o in overrides for arg in ("--set", o))])
+    assert rc == 3
+    assert "non-finite or exceeded its analytic bound" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# each strobe averages 8 instants over its open window, so the fitted
+# amplitude of a settled run carries the window's factor
+# (1/8) sum_k cos(2 pi d s_k)
+def test_cli_fit_amplitude_follows_the_strobe_window(tmp_path):
+    def amplitudes(duty):
+        out = tmp_path / f"d{duty}"
+        assert main(["fit", "--out", str(out),
+                     "--set", f"optics.strobe_duty={duty}"]) == 0
+        with (out / "fit.csv").open() as fh:
+            return np.array([float(row["A_m"]) for row in csv.DictReader(fh)])
+
+    def window(duty):
+        s = (np.arange(8) + 0.5) / 8 - 0.5
+        return np.mean(np.cos(2 * np.pi * duty * s))
+
+    ratio = amplitudes(0.2) / amplitudes(0.05)
+    assert np.allclose(ratio, window(0.2) / window(0.05), rtol=1e-7, atol=0)
 
 
 # drive.damping=material keeps the material's ratios, overrides included

@@ -5,7 +5,7 @@ from oracle_fd import oracle_frequency
 from statorlab.errors import DiscretizationError, DomainError, NumericalError
 from statorlab.geometry import Material, homogenize
 from statorlab.modal import (EIG_RESIDUAL_TOL, Discretization, Mode,
-                             assemble, basis_table, calibrate, eig_residual,
+                             assemble, calibrate, eig_residual,
                              format_radial_profiles, harmonic_weight,
                              mode_shape_eval, solve_modes)
 
@@ -181,9 +181,8 @@ def test_solve_modes_argument_check(plate):
         solve_modes(plate, n_max=1, n_min=3)
 
 
-def test_basis_table_and_profiles_deterministic(basis):
-    rows = basis_table(basis)
-    assert rows[0][2] == pytest.approx(3680.0, rel=1e-6)
+def test_basis_frequency_and_profiles_deterministic(basis):
+    assert basis[0].frequency == pytest.approx(3680.0, rel=1e-6)
     assert format_radial_profiles(basis) == format_radial_profiles(basis)
     assert basis.provenance in format_radial_profiles(basis)
 
