@@ -76,15 +76,18 @@ def _driven_run(plan):
         freq = basis.frequency_for(n_d)
     damping = spec["damping"]
     if damping == "settling-target":
-        damping = settling_damping_ratio(
-            plan["analysis"]["settling_time_target"], freq,
-            band=plan["analysis"]["settling_band"])
+        target = plan["analysis"]["settling_time_target"]
+        damping = settling_damping_ratio(target, freq,
+                                         band=plan["analysis"]["settling_band"])
+        if damping >= 1.0:
+            raise ConfigError(
+                f"analysis.settling_time_target: settling in {target:g} s at the "
+                f"{freq:.3f} Hz drive needs damping ratio {damping:.6g}, not below 1")
     if damping != "material":
         basis = basis.with_damping(damping)
     drive = DriveConfig(
         drive_frequency=freq,
         peak_to_peak_voltage=spec["peak_to_peak_voltage"],
-        force_per_volt=1.0,
         electrode_harmonic=n_d,
         phase_layout=spec["phase_layout"])
     fpv = spec["force_per_volt"]
@@ -183,10 +186,8 @@ def cmd_fringes(plan) -> int:
     from .grids import RasterGrid
     basis, drive, traj = _driven_run(plan)
     optics = holography.OpticalConfig(**plan["optics"])
-    grid = RasterGrid(inner_radius=plan["geometry"].inner_radius,
-                      outer_radius=plan["geometry"].outer_radius,
-                      pixels=plan["image"]["pixels"],
-                      margin=plan["image"]["margin"])
+    grid = RasterGrid(plan["geometry"].inner_radius,
+                      plan["geometry"].outer_radius, **plan["image"])
 
     # stroboscopic pair at the configured offset for the driven harmonic,
     # rendered before the first write so a failing strobe leaves no files
@@ -205,15 +206,15 @@ def cmd_fringes(plan) -> int:
         env = steady_envelope(basis, drive_n, grid)
         img = holography.time_averaged(env, optics)
         name = f"timeavg_md{n}.pgm"
-        ioutil.write_pgm(_outpath(plan, name), img.intensity, img.mask)
+        ioutil.write_pgm(_outpath(plan, name), img.intensity, grid.mask)
         written.append(name)
 
     stem = f"strobe_md{drive.electrode_harmonic}_{0:g}d_{offset:g}d"
     ioutil.write_pgm(_outpath(plan, stem + ".pgm"),
-                     ioutil.phase_to_unit(pmap.phase), pmap.mask)
+                     ioutil.phase_to_unit(pmap.phase), grid.mask)
     ioutil.write_field_f32(_outpath(plan, stem + ".f32"), pmap.phase,
-                           dict(grid.describe(), strobe_a_deg=0.0,
-                                strobe_b_deg=float(offset)))
+                           dict(grid.describe(), strobe_a_deg=pmap.strobe_phase_a,
+                                strobe_b_deg=pmap.strobe_phase_b))
     written += [stem + ".pgm", stem + ".f32"]
     print(f"wrote {', '.join(written)} to {plan['output_dir']}")
     return 0

@@ -14,8 +14,9 @@ import copy
 import json
 import math
 
-from .errors import (J0_FIRST_ZERO, STROBE_SPAN_LIMIT_DEG,
-                     STROBE_STEP_LIMIT_DEG, ConfigError, GeometryError)
+from .errors import (J0_FIRST_ZERO, STROBE_DUTY_LIMIT, STROBE_SPAN_LIMIT_DEG,
+                     STROBE_STEP_LIMIT_DEG, ConfigError, DiscretizationError,
+                     GeometryError)
 from .geometry import Material, StatorGeometry
 from .modal import Discretization
 
@@ -200,12 +201,12 @@ def _num(name: str, sec: dict, key: str, positive=True, minimum=None,
     return value
 
 
-def _int(name: str, sec: dict, key: str, minimum=0, maximum=None):
+def _int(name: str, sec: dict, key: str, minimum=None, maximum=None):
     value = sec.get(key)
     if not isinstance(value, int) or not _is_number(value):
         raise ConfigError(
             f"{name}.{key}: expected an integer in float64 range, got {value!r}")
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise ConfigError(f"{name}.{key}: must be >= {minimum}, got {value}")
     if maximum is not None and value > maximum:
         raise ConfigError(f"{name}.{key}: must be <= {maximum}, got {value}")
@@ -237,18 +238,15 @@ def build_material(cfg: dict) -> Material:
             raise ConfigError(
                 f"material.damping_overrides: harmonic key {key!r} is not "
                 "an integer") from None
-        if not _is_number(value) or not 0.0 < value < 1.0:
-            raise ConfigError(
-                f"material.damping_overrides[{key}]: damping ratio must be "
-                f"in (0, 1), got {value!r}")
-        overrides[harmonic] = float(value)
+        overrides[harmonic] = _num("material.damping_overrides",
+                                   overrides_raw, key, positive=False)
+    # Material owns the ranges of the ratios
     return Material(
         youngs_modulus=_num("material", sec, "youngs_modulus"),
-        poisson_ratio=_num("material", sec, "poisson_ratio", positive=False,
-                           minimum=0.0, maximum=0.5),
+        poisson_ratio=_num("material", sec, "poisson_ratio", positive=False),
         density=_num("material", sec, "density"),
         modal_damping_ratio=_num("material", sec, "modal_damping_ratio",
-                                 positive=False, minimum=0.0, maximum=0.999),
+                                 positive=False),
         damping_overrides=overrides or None,
     )
 
@@ -260,7 +258,7 @@ def build_modal_plan(cfg: dict) -> dict:
         "n_max": _int("modal", sec, "n_max", minimum=0),
         "modes_per_n": _int("modal", sec, "modes_per_n", minimum=1),
         "discretization": Discretization(
-            radial_nodes=_int("modal", sec, "radial_nodes", minimum=8,
+            radial_nodes=_int("modal", sec, "radial_nodes",
                               maximum=MAX_RADIAL_NODES)),
         "calibrate": sec.get("calibrate"),
         "calibration_target_n": _int("modal", sec, "calibration_target_n",
@@ -334,7 +332,7 @@ def build_optics_plan(cfg: dict) -> dict:
     return {
         "wavelength": wavelength,
         "sensitivity_factor": None if sens == "auto" else sens,
-        "strobe_duty": _num("optics", sec, "strobe_duty", maximum=0.2),
+        "strobe_duty": _num("optics", sec, "strobe_duty", maximum=STROBE_DUTY_LIMIT),
         "amplitude_clip": clip,
         "noise_sigma": noise,
     }
@@ -416,20 +414,21 @@ def build_output_dir(cfg: dict) -> str:
 
 def validate_config(cfg: dict) -> dict:
     """Build every typed object/plan up front; raises ConfigError on any
-    problem, inconsistent geometry or material included, so commands never
-    start computing from a bad config."""
+    problem, inconsistent geometry, material or mesh included, so commands
+    never start computing from a bad config."""
     unknown = sorted(set(cfg) - set(DEFAULT_CONFIG))
     if unknown:
         raise ConfigError(f"unknown config section(s): {', '.join(unknown)}")
     try:
         geometry = build_geometry(cfg)
         material = build_material(cfg)
-    except GeometryError as exc:
+        modal = build_modal_plan(cfg)
+    except (GeometryError, DiscretizationError) as exc:
         raise ConfigError(str(exc)) from None
     plan = {
         "geometry": geometry,
         "material": material,
-        "modal": build_modal_plan(cfg),
+        "modal": modal,
         "drive": build_drive_plan(cfg),
         "optics": build_optics_plan(cfg),
         "analysis": build_analysis_plan(cfg),

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, TimeStepError
+from .errors import STROBE_DUTY_LIMIT, DomainError, NumericalError, TimeStepError
 from .grids import DisplacementField
 from .modal import ModalBasis, Mode, radial_shapes
 
@@ -110,8 +110,6 @@ def _mode_constants(basis: ModalBasis, drive: DriveConfig):
     w = drive.omega
     w0 = np.array([m.omega for m in basis])
     zeta = np.array([basis.damping_for(m.n) for m in basis])
-    if np.any(zeta < 0.0) or np.any(zeta >= 1.0):
-        raise DomainError("modal damping ratios must satisfy 0 <= zeta < 1")
     alpha = zeta * w0
     wd = w0 * np.sqrt(1.0 - zeta * zeta)
     F = np.array([drive.modal_force(m) for m in basis], dtype=complex)
@@ -120,12 +118,15 @@ def _mode_constants(basis: ModalBasis, drive: DriveConfig):
     if np.any(forced & (np.abs(den) == 0.0)):
         raise NumericalError(
             "undamped mode driven exactly at resonance has no steady state")
-    Q = np.where(np.abs(den) > 0.0, F / np.where(den == 0.0, 1.0, den), 0.0)
-    # transient chosen so the physical state starts at rest:
-    # Re[q(0)] = 0 and Re[q'(0)] = 0
-    c_r = -Q.real
-    c_i = (-w * Q.imag + alpha * Q.real) / wd
-    C = c_r + 1.0j * c_i
+    # an overflowing drive is refused below, in one error, not warned about
+    with np.errstate(all="ignore"):
+        Q = np.where(np.abs(den) > 0.0, F / np.where(den == 0.0, 1.0, den), 0.0)
+        # transient chosen so the physical state starts at rest:
+        # Re[q(0)] = 0 and Re[q'(0)] = 0
+        C = -Q.real + 1.0j * ((-w * Q.imag + alpha * Q.real) / wd)
+    if not np.isfinite(np.stack([F, Q, C])).all():
+        raise NumericalError(f"force_per_volt {drive.force_per_volt:g} "
+                             "overflows the modal force or response")
     return alpha, wd, Q, C
 
 
@@ -371,7 +372,7 @@ def field_at(basis: ModalBasis, trajectory: ModalTrajectory, t: float,
     Off-annulus samples are left at zero and flagged by the grid mask.
     """
     values = _render(basis, grid, trajectory.state_at(t).real, trajectory)
-    return DisplacementField(grid, values, time=t, label=f"t={t:.9e}s")
+    return DisplacementField(grid, values, time=t)
 
 
 def field_envelope(basis: ModalBasis, trajectory: ModalTrajectory,
@@ -382,10 +383,8 @@ def field_envelope(basis: ModalBasis, trajectory: ModalTrajectory,
     included); with ``t = None``, the analytic steady state.
     """
     state = trajectory.steady if t is None else trajectory.state_at(t)
-    values = _render(basis, grid, state, trajectory)
-    label = "steady envelope" if t is None else f"envelope t={t:.9e}s"
-    return DisplacementField(grid, values, time=(trajectory.times[-1] if t is None else t),
-                             label=label)
+    return DisplacementField(grid, _render(basis, grid, state, trajectory),
+                             time=trajectory.times[-1] if t is None else t)
 
 
 def steady_envelope(basis: ModalBasis, drive: DriveConfig,
@@ -397,8 +396,7 @@ def steady_envelope(basis: ModalBasis, drive: DriveConfig,
     sampling one.
     """
     state = _mode_constants(basis, drive)[2]
-    return DisplacementField(grid, _render(basis, grid, state),
-                             label="steady envelope")
+    return DisplacementField(grid, _render(basis, grid, state))
 
 
 def snapshot_at_strobe(basis: ModalBasis, trajectory: ModalTrajectory,
@@ -412,8 +410,9 @@ def snapshot_at_strobe(basis: ModalBasis, trajectory: ModalTrajectory,
     instants across the open window, modeling a finite strobe exposure;
     the default is the instantaneous (duty -> 0) model.
     """
-    if not 0.0 <= duty <= 0.2:
-        raise DomainError(f"strobe duty must be in [0, 0.2], got {duty}")
+    if not 0.0 <= duty <= STROBE_DUTY_LIMIT:
+        raise DomainError(
+            f"strobe duty must be in [0, {STROBE_DUTY_LIMIT:g}], got {duty}")
     T = trajectory.drive.period
     t0 = trajectory.times[-1] - 2.0 * T
     if t0 < trajectory.times[0]:
@@ -425,9 +424,7 @@ def snapshot_at_strobe(basis: ModalBasis, trajectory: ModalTrajectory,
                if duty else [0.0])
     state = np.mean([trajectory.state_at(t + f * duty * T).real
                      for f in offsets], axis=0)
-    label = f"strobe {strobe_deg:g}deg" + (f" duty={duty:g}" if duty else "")
-    return DisplacementField(grid, _render(basis, grid, state, trajectory),
-                             time=t, label=label)
+    return DisplacementField(grid, _render(basis, grid, state, trajectory), time=t)
 
 
 @dataclass(frozen=True)
@@ -440,7 +437,6 @@ class ProbeSeries:
     envelope: np.ndarray         # m
     steady_amplitude: float      # m
     settling_time: float         # s, inf if never settled in the run
-    band: float
 
 
 def probe(basis: ModalBasis, trajectory: ModalTrajectory, points,
@@ -471,8 +467,8 @@ def probe(basis: ModalBasis, trajectory: ModalTrajectory, points,
     env = np.abs(disp + 1j * (shapes.T @ q.imag))
     amp = np.hypot(shapes.T @ steady.real, shapes.T @ steady.imag).tolist()
     times = trajectory.times
-    return [ProbeSeries(p, times, d, e, a, _settling_time(times, e, a, band),
-                        band) for p, d, e, a in zip(points, disp, env, amp)]
+    return [ProbeSeries(p, times, d, e, a, _settling_time(times, e, a, band))
+            for p, d, e, a in zip(points, disp, env, amp)]
 
 
 def _settling_time(times: np.ndarray, envelope: np.ndarray,
@@ -577,6 +573,5 @@ def mixed_response(basis: ModalBasis, external: ExternalMode,
         p /= peak
     total = w_m + w_e
     values = (w_m * pat_m + w_e * pat_e) / total
-    fld = DisplacementField(grid, values, time=0.0,
-                            label=f"mixed @ {drive.drive_frequency:g} Hz")
-    return MixedResponse(field=fld, modal_weight=w_m, external_weight=w_e)
+    return MixedResponse(field=DisplacementField(grid, values),
+                         modal_weight=w_m, external_weight=w_e)

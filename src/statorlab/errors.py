@@ -8,6 +8,8 @@ STROBE_STEP_LIMIT_DEG = 180.0
 # a strobe fires that many degrees into the last two drive cycles of the run
 # (t_end - 2T + deg/360 T), so no strobe instant may lie past this
 STROBE_SPAN_LIMIT_DEG = 720.0
+# the widest strobe window, as a fraction of the drive period
+STROBE_DUTY_LIMIT = 0.2
 # first zero of J0: float(scipy.special.jn_zeros(0, 1)[0]) bit for bit; the
 # first dark time-averaged fringe lies where k a reaches it
 J0_FIRST_ZERO = 2.4048255576957724

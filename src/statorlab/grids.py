@@ -20,8 +20,8 @@ Each flavor also has ``shape`` and a ``describe()`` metadata dict:
   interpolated.
 
 A ``DisplacementField`` pairs one grid with per-sample out-of-plane
-displacement in meters; samples where ``mask`` is False carry no physical
-meaning and stay flagged rather than silently zeroed.
+displacement in meters; samples where ``grid.mask`` is False carry no
+physical meaning and stay flagged rather than silently zeroed.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ class RasterGrid(_Samples):
             raise DomainError(f"pixels must be >= 16, got {self.pixels}")
         if self.margin < 1.0:
             raise DomainError(f"margin must be >= 1, got {self.margin}")
-        half = self.margin * self.outer_radius
+        half = self.extent
         # pixel centers, row 0 at +y so exported images keep math orientation
         axis = (np.arange(self.pixels) + 0.5) / self.pixels * 2.0 * half - half
         x = axis[None, :]
@@ -131,7 +131,6 @@ class DisplacementField:
     grid: object
     values: np.ndarray
     time: float = 0.0
-    label: str = ""
 
     def __post_init__(self):
         if self.values.shape != self.grid.shape:
@@ -141,16 +140,11 @@ class DisplacementField:
         if not np.all(np.isfinite(self.values[self.grid.mask])):
             raise DomainError("non-finite displacement on valid samples")
 
-    @property
-    def mask(self) -> np.ndarray:
-        return self.grid.mask
-
     def peak(self) -> float:
-        return float(np.max(np.abs(self.values[self.mask])))
+        return float(np.max(np.abs(self.values[self.grid.mask])))
 
     def scaled(self, factor: float) -> "DisplacementField":
-        return DisplacementField(self.grid, self.values * factor,
-                                 self.time, self.label)
+        return DisplacementField(self.grid, self.values * factor, self.time)
 
 
 def _bilinear_stencil(grid: RasterGrid, r, theta):

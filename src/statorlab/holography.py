@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import J0_FIRST_ZERO, DomainError, UnwrapError
+from .errors import J0_FIRST_ZERO, STROBE_DUTY_LIMIT, DomainError, UnwrapError
 from .grids import (DisplacementField, RasterGrid, RingGrid, _bilinear_blend,
                     _bilinear_stencil, _raster_ring, require_same_grid)
 
@@ -62,9 +62,9 @@ class OpticalConfig:
             raise DomainError(
                 "sensitivity_factor must be positive and finite, got "
                 f"{self.sensitivity_factor}")
-        if not 0.0 < self.strobe_duty <= 0.2:
-            raise DomainError(
-                f"strobe_duty must be in (0, 0.2], got {self.strobe_duty}")
+        if not 0.0 < self.strobe_duty <= STROBE_DUTY_LIMIT:
+            raise DomainError(f"strobe_duty must be in (0, {STROBE_DUTY_LIMIT:g}], "
+                              f"got {self.strobe_duty}")
         if self.amplitude_clip <= 0.0:
             raise DomainError(
                 f"amplitude_clip must be positive, got {self.amplitude_clip}")
@@ -79,7 +79,6 @@ class FringeImage:
 
     grid: object
     intensity: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         if self.intensity.shape != self.grid.shape:
@@ -87,10 +86,6 @@ class FringeImage:
         valid = self.intensity[self.grid.mask]
         if valid.size and (valid.min() < 0.0 or valid.max() > 1.0):
             raise DomainError("fringe intensity outside [0, 1]")
-
-    @property
-    def mask(self) -> np.ndarray:
-        return self.grid.mask
 
 
 @dataclass(frozen=True)
@@ -109,10 +104,6 @@ class PhaseMap:
         # written so that a NaN (noise draws that overflowed) fails it too
         if valid.size and not (valid.min() > -math.pi and valid.max() <= math.pi):
             raise DomainError("wrapped phase outside (-pi, pi] or not finite")
-
-    @property
-    def mask(self) -> np.ndarray:
-        return self.grid.mask
 
 
 def wrap_phase(x):
@@ -209,7 +200,7 @@ def time_averaged(amplitude_field: DisplacementField,
     nothing.  Amplitudes beyond ``optics.amplitude_clip`` are clipped with
     a warning instead of erroring.
     """
-    mask = amplitude_field.mask
+    mask = amplitude_field.grid.mask
     a = np.abs(amplitude_field.values[mask], dtype=float)
     if np.any(a > optics.amplitude_clip):
         warnings.warn(
@@ -220,8 +211,7 @@ def time_averaged(amplitude_field: DisplacementField,
     fringe = _j0(a)
     intensity = np.zeros(amplitude_field.values.shape)
     intensity[mask] = np.square(fringe, out=fringe)
-    return FringeImage(amplitude_field.grid, intensity,
-                       label=f"time-averaged {amplitude_field.label}".strip())
+    return FringeImage(amplitude_field.grid, intensity)
 
 
 def first_dark_fringe_amplitude(optics: OpticalConfig) -> float:
@@ -244,7 +234,7 @@ def stroboscopic(field_a: DisplacementField, field_b: DisplacementField,
     reproducibility; required when the noise model is on).
     """
     require_same_grid(field_a.grid, field_b.grid, "stroboscopic")
-    mask = field_a.mask
+    mask = field_a.grid.mask
     raw = field_b.values[mask].astype(float, copy=False)
     raw -= field_a.values[mask]
     raw *= optics.sensitivity_factor
@@ -314,5 +304,4 @@ def unwrap_to_displacement(pmap: PhaseMap, optics: OpticalConfig,
     else:
         raise DomainError(f"unsupported grid kind {type(grid).__name__}")
     u = _unwrap_closed(sampled, f"ring r={ring.radius:.6g} m")
-    return DisplacementField(ring, u / optics.sensitivity_factor,
-                             time=0.0, label="unwrapped strobe difference")
+    return DisplacementField(ring, u / optics.sensitivity_factor)

@@ -53,7 +53,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DiscretizationError, DomainError, NumericalError
-from .geometry import EffectivePlate
+from .geometry import EffectivePlate, Material
 
 EIG_RESIDUAL_TOL = 1e-8
 # K and M couple DOFs at most 3 apart: an element's 4 DOFs (W, W' at both
@@ -73,6 +73,8 @@ _QUAD_XI, _QUAD_W = 0.5 * (_QUAD_XI + 1.0), 0.5 * _QUAD_W
 # 0.074^8 ~ 1e-9 and the Ritz values to its square, below float64 rounding.
 _SUBSPACE_EXTRA = 2
 _SUBSPACE_PASSES = 8
+# the boundary conditions every solved mode satisfies
+_BOUNDARY = "clamped-at-fixture/free-at-edges"
 
 
 @dataclass(frozen=True)
@@ -301,11 +303,6 @@ class Mode:
     def outer_radius(self) -> float:
         return float(self.radial_nodes[-1])
 
-    @property
-    def boundary(self) -> str:
-        """The boundary conditions every solved mode satisfies."""
-        return "clamped-at-fixture/free-at-edges"
-
     def radial(self, r):
         """W(r), zero inside the clamped center."""
         return radial_shapes((self,), r)[0]
@@ -343,7 +340,11 @@ def mode_shape_eval(mode: Mode, r, theta):
 
 @dataclass(frozen=True)
 class ModalBasis:
-    """Ascending-frequency list of modes plus solve metadata."""
+    """Ascending-frequency list of modes plus solve metadata.
+
+    Every damping ratio, the default and each per-harmonic override, lies
+    in [0, 1): zero is the undamped limit, one is critical damping.
+    """
 
     modes: tuple
     discretization: Discretization
@@ -355,6 +356,9 @@ class ModalBasis:
         freqs = [m.frequency for m in self.modes]
         if any(f2 < f1 - 1e-12 * max(f1, 1.0) for f1, f2 in zip(freqs, freqs[1:])):
             raise NumericalError("basis not sorted by ascending frequency")
+        for zeta in (self.default_damping, *(self.damping_overrides or {}).values()):
+            if not 0.0 <= zeta < 1.0:
+                raise DomainError(f"damping ratio must be in [0, 1), got {zeta}")
 
     def __len__(self):
         return len(self.modes)
@@ -392,8 +396,6 @@ class ModalBasis:
 
     def with_damping(self, zeta: float) -> "ModalBasis":
         """Same modes with a uniform damping ratio (overrides dropped)."""
-        if not 0.0 <= zeta < 1.0:
-            raise DomainError(f"damping ratio must be in [0, 1), got {zeta}")
         return replace(self, default_damping=zeta, damping_overrides=None)
 
     def with_pair_defect(self, n: int, frequency_split: float = 0.0,
@@ -591,12 +593,11 @@ def solve_modes(plate: EffectivePlate, n_max: int, modes_per_n: int = 1,
                 modes.append(Mode(orientation="sin", **common))
 
     modes.sort(key=lambda m: (m.frequency, m.n, m.orientation))
-    damping = plate.material.modal_damping_ratio if plate.material else 0.02
-    overrides = dict(plate.material.damping_overrides) if (
-        plate.material and plate.material.damping_overrides) else None
+    material = plate.material or Material()
     prov = hashlib.sha256(
         (plate.provenance_hash() + repr(disc)).encode()).hexdigest()[:16]
-    return ModalBasis(tuple(modes), disc, prov, damping, overrides)
+    return ModalBasis(tuple(modes), disc, prov, material.modal_damping_ratio,
+                      dict(material.damping_overrides or {}) or None)
 
 
 @dataclass(frozen=True)
@@ -651,7 +652,7 @@ def format_radial_profiles(basis: ModalBasis) -> str:
                 f"{r} {v!r} {s!r}" for r, v, s in zip(
                     radii[mesh], m.radial_values.tolist(), m.radial_slopes.tolist()))
         lines.append(f"mode n={m.n} orientation={m.orientation} family={m.family} "
-                     f"frequency_hz={m.frequency!r} boundary={m.boundary}")
+                     f"frequency_hz={m.frequency!r} boundary={_BOUNDARY}")
         lines.append("r_m W dW_dr")
         lines.append(blocks[key])
         lines.append("")

@@ -86,7 +86,8 @@ def _profiles_ref(basis):
              f"# modes {len(basis)}  radial_nodes {basis.discretization.radial_nodes}"]
     for m in basis:
         lines.append(f"mode n={m.n} orientation={m.orientation} family={m.family} "
-                     f"frequency_hz={m.frequency!r} boundary={m.boundary}")
+                     f"frequency_hz={m.frequency!r} "
+                     "boundary=clamped-at-fixture/free-at-edges")
         lines.append("r_m W dW_dr")
         for r, v, s in zip(m.radial_nodes.tolist(), m.radial_values.tolist(),
                            m.radial_slopes.tolist()):

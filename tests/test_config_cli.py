@@ -175,8 +175,9 @@ def test_cli_config_error_exit(tmp_path, capsys):
 
 # finite but unphysical: a "plate" as thick as its radius or far thicker,
 # a phase noise that leaves no fringe order to unwrap, a sensitivity past
-# 4 pi / lambda or a wavelength whose 4 pi / lambda overflows, and a first
-# dark fringe beyond the amplitude clip; every stage refuses them
+# 4 pi / lambda or a wavelength whose 4 pi / lambda overflows, a first
+# dark fringe beyond the amplitude clip, and a ratio or mesh outside the
+# range its constructor owns; every stage refuses them
 @pytest.mark.parametrize("override,fragment", [
     (f"geometry.total_height={2 ** 63}", "total_height 9.223372036854776e+18 "
                                          "must be below outer_radius 0.015"),
@@ -193,6 +194,12 @@ def test_cli_config_error_exit(tmp_path, capsys):
      "optics: the first dark fringe lies at 2e-06 m"),
     ("optics.wavelength=1e-320", "optics.wavelength: 4 pi / 1e-320 m "
                                  "overflows the float range"),
+    ("material.modal_damping_ratio=0",
+     "modal_damping_ratio must lie in (0, 1), got 0.0"),
+    ("material.poisson_ratio=0.5", "poisson_ratio must lie in [0, 0.5), got 0.5"),
+    ("material.damping_overrides.4=1.0",
+     "damping override for n=4 must lie in (0, 1), got 1.0"),
+    ("modal.radial_nodes=7", "radial_nodes must be >= 8, got 7"),
 ])
 def test_cli_unphysical_magnitude_is_config_error(tmp_path, capsys, override,
                                                   fragment):
@@ -258,6 +265,10 @@ def test_cli_harmonics_past_the_notch_limit_are_config_error(tmp_path,
     ("respond", "drive.electrode_harmonic=9", 2,
      "electrode_harmonic 9 lies outside"),
     ("fringes", "drive.duration=1e-4", 3, "shorter than two drive cycles"),
+    # a settling time this short needs a damping ratio past critical
+    ("respond", "analysis.settling_time_target=1e-6", 2,
+     "config error: analysis.settling_time_target: settling in 1e-06 s at the "
+     "10258.451 Hz drive needs damping ratio 46.4773, not below 1"),
 ])
 def test_cli_strobe_and_harmonic_failures_leave_no_output(tmp_path, capsys, stage,
                                                           override, code, fragment):
@@ -278,10 +289,12 @@ def test_cli_strobes_up_to_the_last_two_cycles_run(tmp_path):
     assert (tmp_path / "o" / "fit_summary.txt").exists()
 
 
-# the last strobe exactly at 720 deg, the driven harmonic at either end
+# the last strobe exactly at 720 deg, the driven harmonic at either end,
+# a material damping ratio just below critical
 @pytest.mark.parametrize("override", ["analysis.strobe_offset_deg=570",
                                       "drive.electrode_harmonic=1",
-                                      "drive.electrode_harmonic=7"])
+                                      "drive.electrode_harmonic=7",
+                                      "material.modal_damping_ratio=0.9995"])
 def test_validate_config_accepts_the_strobe_and_harmonic_limits(override):
     assert validate_config(apply_overrides(default_config(), [override]))
 
@@ -346,21 +359,25 @@ def test_cli_respond_refuses_an_oversized_trajectory(tmp_path, capsys,
     assert not out.exists()
 
 
-# a gain near the float limit overflows the trajectory to inf and nan:
-# respond refuses it instead of writing nan probes
+# a gain near the float limit overflows the modal force or response to inf
+# and nan: every driven stage refuses it in one error line, with no
+# floating-point warning, instead of writing nan probes
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("overrides", [
     ["drive.target_edge_amplitude=1e300"],
     ["drive.peak_to_peak_voltage=1e300", "drive.force_per_volt=1e10"],
 ], ids=["target-amplitude", "voltage-and-gain"])
-def test_cli_respond_refuses_a_non_finite_response(tmp_path, capsys,
-                                                    overrides):
+def test_cli_driven_stages_refuse_a_non_finite_response(tmp_path, capsys,
+                                                        overrides):
     out = tmp_path / "o"
-    with np.errstate(all="ignore"):
-        rc = main(["respond", "--out", str(out), *LIGHT,
+    for stage in ("respond", "fringes", "fit"):
+        rc = main([stage, "--out", str(out), *LIGHT,
                    *(arg for o in overrides for arg in ("--set", o))])
-    assert rc == 3
-    assert "non-finite or exceeded its analytic bound" in capsys.readouterr().err
-    assert not out.exists()
+        assert rc == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: force_per_volt ")
+        assert line.endswith(" overflows the modal force or response")
+        assert not out.exists()
 
 
 # each strobe averages 8 instants over its open window, so the fitted

@@ -72,7 +72,7 @@ def _j0_ref(x):
 
 def _time_averaged_ref(amplitude_field, optics):
     a = np.abs(amplitude_field.values)
-    mask = amplitude_field.mask
+    mask = amplitude_field.grid.mask
     if np.any(a[mask] > optics.amplitude_clip):
         warnings.warn(
             f"amplitudes above {optics.amplitude_clip:g} m clipped in "
@@ -92,7 +92,7 @@ def _stroboscopic_ref(field_a, field_b, optics, rng=None):
     if optics.noise_sigma > 0.0:
         raw = raw + rng.normal(0.0, optics.noise_sigma, size=raw.shape)
     phase = np.zeros(raw.shape)
-    mask = field_a.mask
+    mask = field_a.grid.mask
     phase[mask] = _wrap_phase_ref(raw[mask])
     return phase
 
@@ -143,7 +143,7 @@ def test_time_averaged_bit_equal_to_reference(basis, traj, geometry):
     spread = rng.uniform(-3e-6, 3e-6, ring.count)      # both J0 ranges
     cases = [
         (envelope, OpticalConfig()),
-        (DisplacementField(grid, off, label="off mask"), OpticalConfig()),
+        (DisplacementField(grid, off), OpticalConfig()),
         (DisplacementField(ring, spread), OpticalConfig(amplitude_clip=3e-6)),
     ]
     for fld, optics in cases:

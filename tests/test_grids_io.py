@@ -138,10 +138,10 @@ def test_displacement_field_validation():
 
 def test_field_scaling():
     ring = RingGrid(radius=12e-3, count=16)
-    fld = DisplacementField(ring, np.ones(16), time=1.0, label="x")
+    fld = DisplacementField(ring, np.ones(16), time=1.0)
     doubled = fld.scaled(2.0)
     assert doubled.peak() == pytest.approx(2.0)
-    assert doubled.time == 1.0 and doubled.label == "x"
+    assert doubled.time == 1.0
 
 
 def test_bilinear_sample_exact_on_linear_fields():

@@ -4,8 +4,8 @@ import pytest
 from oracle_fd import oracle_frequency
 from statorlab.errors import DiscretizationError, DomainError, NumericalError
 from statorlab.geometry import Material, homogenize
-from statorlab.modal import (EIG_RESIDUAL_TOL, Discretization, Mode,
-                             assemble, calibrate, eig_residual,
+from statorlab.modal import (EIG_RESIDUAL_TOL, Discretization, ModalBasis,
+                             Mode, assemble, calibrate, eig_residual,
                              format_radial_profiles, harmonic_weight,
                              mode_shape_eval, solve_modes)
 
@@ -138,8 +138,15 @@ def test_with_damping(basis):
     quiet = basis.with_damping(0.001)
     assert quiet.damping_for(4) == pytest.approx(0.001)
     assert basis.damping_for(4) == pytest.approx(0.02)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError,
+                       match=r"^damping ratio must be in \[0, 1\), got 1.0$"):
         basis.with_damping(1.0)
+    # the basis owns the range: a default or an override outside it fails
+    # at construction
+    for default, overrides in ((1.0, None), (0.02, {4: -0.1})):
+        with pytest.raises(DomainError, match="damping ratio must be in"):
+            ModalBasis(basis.modes, basis.discretization, basis.provenance,
+                       default, overrides)
 
 
 def test_solve_modes_carries_material_damping(geometry):
