@@ -1,11 +1,15 @@
-"""Run configuration: defaults, JSON loading, dotted-path overrides and
-validated builders for the domain objects.
+"""Run configuration: the key table, defaults, JSON loading, dotted-path
+overrides and validation into the plan the commands run.
 
 A run is fully described by one nested dict (sections per module).  The
 CLI merges, in order: built-in defaults, the optional JSON config file,
-then any ``--set section.key=value`` overrides.  Validation is complete
-before any computation starts, so a bad config never leaves partial
-output.
+then any ``--set section.key=value`` overrides.  ``KEYS`` declares every
+key once, with its default and the check that turns a JSON value into the
+value the plan holds; ``DEFAULT_CONFIG`` is read off it.  Validation is
+one pass over that table, then the geometry, material and mesh
+constructors, which own their ranges, then the checks that span keys.  It
+is complete before any computation starts, so a bad config never leaves
+partial output.
 """
 
 from __future__ import annotations
@@ -13,8 +17,11 @@ from __future__ import annotations
 import copy
 import json
 import math
+import sys
 
-from .errors import (J0_FIRST_ZERO, STROBE_DUTY_LIMIT, STROBE_SPAN_LIMIT_DEG,
+from .errors import (ELECTRODE_MIN_HARMONIC, J0_FIRST_ZERO, PHASE_LAYOUTS,
+                     RASTER_MIN_MARGIN, RASTER_MIN_PIXELS, RING_MIN_COUNT,
+                     STROBE_DUTY_LIMIT, STROBE_SPAN_LIMIT_DEG,
                      STROBE_STEP_LIMIT_DEG, ConfigError, DiscretizationError,
                      GeometryError)
 from .geometry import Material, StatorGeometry
@@ -30,72 +37,170 @@ MAX_RADIAL_NODES = 512
 MAX_PIXELS = 2048
 MAX_CIRCLE_COUNT = 4096
 
-DEFAULT_CONFIG = {
+
+def _is_number(value) -> bool:
+    """An int or float, not a bool, that is finite as a float64.
+
+    JSON admits NaN, Infinity and integers of any length; none of them is
+    a usable config number.
+    """
+    # compares exactly, so an int beyond the float64 range is out of it
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _bounded(path: str, value, minimum, maximum):
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{path}: must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{path}: must be <= {maximum}, got {value}")
+    return value
+
+
+# Each key is a (default, check) pair; check(path, value) returns the value
+# the plan holds or raises ConfigError naming the key's dotted path.
+
+def _number(default, positive=True, minimum=None, maximum=None, below=None,
+            allow=()):
+    """A finite number, held as a float.  A string default is a sentinel
+    the key takes besides numbers, as is each string in ``allow``."""
+    allow = (default, *allow) if isinstance(default, str) else allow
+
+    def check(path, value):
+        if isinstance(value, str) and value in allow:
+            return value
+        if not _is_number(value):
+            raise ConfigError(f"{path}: expected a finite number"
+                              f"{''.join(f' or {a!r}' for a in allow)}, "
+                              f"got {value!r}")
+        value = float(value)
+        if positive and value <= 0.0:
+            raise ConfigError(f"{path}: must be positive, got {value}")
+        if below is not None and value >= below:
+            raise ConfigError(f"{path}: must be < {below}, got {value}")
+        return _bounded(path, value, minimum, maximum)
+    return default, check
+
+
+def _integer(default, minimum=None, maximum=None):
+    def check(path, value):
+        if not isinstance(value, int) or not _is_number(value):
+            raise ConfigError(
+                f"{path}: expected an integer in float64 range, got {value!r}")
+        return _bounded(path, value, minimum, maximum)
+    return default, check
+
+
+def _kind(default, expected: str, accepts):
+    """A value that ``accepts`` takes, held as is: a bool, a choice of
+    strings or a path."""
+    def check(path, value):
+        if not accepts(value):
+            raise ConfigError(f"{path}: expected {expected}, got {value!r}")
+        return value
+    return default, check
+
+
+def _numbers(default, noun: str):
+    def check(path, value):
+        if (not isinstance(value, (list, tuple)) or not value
+                or not all(map(_is_number, value))):
+            raise ConfigError(f"{path}: expected a non-empty list of finite "
+                              f"{noun}, got {value!r}")
+        return [float(v) for v in value]
+    return default, check
+
+
+def _damping_overrides(path, value):
+    """Harmonic -> damping ratio; each harmonic is written as ``str(int)``,
+    so no two keys name one harmonic.  Material owns both ranges."""
+    if not isinstance(value, dict):
+        raise ConfigError(
+            f"{path}: expected an object mapping harmonic -> damping ratio")
+    for key in value:
+        if not (isinstance(key, str) and key.removeprefix("-").isdecimal()
+                and str(int(key)) == key):
+            raise ConfigError(f"{path}: harmonic key {key!r} is not an "
+                              "integer in plain form, such as '4'")
+    ratio = _number(None, positive=False)[1]
+    return {int(key): ratio(f"{path}.{key}", zeta)
+            for key, zeta in value.items()} or None
+
+
+KEYS = {
     "geometry": {
-        "inner_radius": 3.75e-3,
-        "outer_radius": 15.0e-3,
-        "tooth_band_inner_radius": 10.0e-3,
-        "fixture_radius": 6.0e-3,
-        "total_height": StatorGeometry.total_height,
-        "notch_count": StatorGeometry.notch_count,
-        "notch_width": StatorGeometry.notch_width,
-        "notch_depth": StatorGeometry.notch_depth,
+        "inner_radius": _number(3.75e-3),
+        "outer_radius": _number(15.0e-3),
+        "tooth_band_inner_radius": _number(10.0e-3),
+        "fixture_radius": _number(6.0e-3),
+        "total_height": _number(StatorGeometry.total_height),
+        "notch_count": _integer(StatorGeometry.notch_count),
+        "notch_width": _number(StatorGeometry.notch_width),
+        "notch_depth": _number(StatorGeometry.notch_depth),
     },
     "material": {
-        "youngs_modulus": Material.youngs_modulus,
-        "poisson_ratio": Material.poisson_ratio,
-        "density": Material.density,
-        "modal_damping_ratio": Material.modal_damping_ratio,
-        "damping_overrides": {},
+        "youngs_modulus": _number(Material.youngs_modulus),
+        "poisson_ratio": _number(Material.poisson_ratio, positive=False),
+        "density": _number(Material.density),
+        "modal_damping_ratio": _number(Material.modal_damping_ratio, positive=False),
+        "damping_overrides": ({}, _damping_overrides),
     },
     "modal": {
-        "n_min": 1,
-        "n_max": 7,
-        "modes_per_n": 1,
+        "n_min": _integer(1, minimum=0),
+        "n_max": _integer(7, minimum=0),
+        "modes_per_n": _integer(1, minimum=1),
         # 32: the coarsest mesh whose answers stay within the bounds of
         # tests/test_mesh_convergence.py against twice the mesh
-        "radial_nodes": Discretization.radial_nodes,
-        "calibrate": True,
-        "calibration_target_n": 1,
-        "calibration_target_hz": 3680.0,
+        "radial_nodes": _integer(Discretization.radial_nodes, maximum=MAX_RADIAL_NODES),
+        "calibrate": _kind(True, "true/false", lambda v: isinstance(v, bool)),
+        "calibration_target_n": _integer(1, minimum=0),
+        "calibration_target_hz": _number(3680.0),
     },
     "drive": {
-        "drive_frequency": "resonance",
-        "peak_to_peak_voltage": 100.0,
-        "force_per_volt": "auto",
-        "electrode_harmonic": 4,
-        "phase_layout": "quadrature",
-        "duration": 8.0e-3,
-        "dt": "auto",
-        "damping": "settling-target",
-        "target_edge_amplitude": 100e-9,
+        "drive_frequency": _number("resonance"),
+        "peak_to_peak_voltage": _number(100.0),
+        "force_per_volt": _number("auto", positive=False, minimum=0.0),
+        "electrode_harmonic": _integer(4, minimum=ELECTRODE_MIN_HARMONIC),
+        "phase_layout": _kind("quadrature", " or ".join(map(repr, PHASE_LAYOUTS)),
+                              lambda v: v in PHASE_LAYOUTS),
+        "duration": _number(8.0e-3),
+        "dt": _number("auto"),
+        "damping": _number("settling-target", below=1.0, allow=("material",)),
+        "target_edge_amplitude": _number(100e-9),
     },
     "optics": {
-        "wavelength": 532e-9,
-        "sensitivity_factor": "auto",
-        "strobe_duty": 0.05,
-        "amplitude_clip": 2e-6,
-        "noise_sigma": 0.0,
+        "wavelength": _number(532e-9),
+        "sensitivity_factor": _number("auto"),
+        "strobe_duty": _number(0.05, maximum=STROBE_DUTY_LIMIT),
+        "amplitude_clip": _number(2e-6),
+        "noise_sigma": _number(0.0, positive=False, minimum=0.0),
     },
     "analysis": {
-        "probe_radii": [10.2e-3, 12.5e-3, 15.0e-3],
-        "probe_theta": 0.0,
-        "circle_radius": 15.0e-3,
-        "circle_count": 360,
-        "strobe_offset_deg": 60.0,
-        "strobe_phases_deg": [0.0, 30.0, 60.0, 90.0, 120.0, 150.0],
-        "settling_band": 0.05,
-        "settling_time_target": 3.4e-3,
+        "probe_radii": _numbers([10.2e-3, 12.5e-3, 15.0e-3], "radii"),
+        "probe_theta": _number(0.0, positive=False),
+        "circle_radius": _number(15.0e-3),
+        "circle_count": _integer(360, minimum=RING_MIN_COUNT, maximum=MAX_CIRCLE_COUNT),
+        "strobe_offset_deg": _number(60.0),
+        "strobe_phases_deg": _numbers([0.0, 30.0, 60.0, 90.0, 120.0, 150.0],
+                                      "strobe phases in degrees"),
+        "settling_band": _number(0.05, maximum=0.5),
+        "settling_time_target": _number(3.4e-3),
     },
     "image": {
-        "pixels": 256,
-        "margin": 1.05,
+        "pixels": _integer(256, minimum=RASTER_MIN_PIXELS, maximum=MAX_PIXELS),
+        "margin": _number(1.05, minimum=RASTER_MIN_MARGIN),
     },
     "output": {
-        "directory": "statorlab-out",
+        "directory": _kind("statorlab-out", "a non-empty path",
+                           lambda v: isinstance(v, str) and v != ""),
     },
-    "seed": 20230425,
+    "seed": _integer(20230425, minimum=0),
 }
+
+DEFAULT_CONFIG = {
+    name: ({key: default for key, (default, _) in keys.items()}
+           if isinstance(keys, dict) else keys[0])
+    for name, keys in KEYS.items()}
 
 
 def default_config() -> dict:
@@ -148,169 +253,58 @@ def apply_overrides(cfg: dict, assignments) -> dict:
         except json.JSONDecodeError:
             value = raw
         node = out
-        parts = key.split(".")
-        for part in parts[:-1]:
-            nxt = node.get(part)
-            if not isinstance(nxt, dict):
-                nxt = {}
-                node[part] = nxt
-            node = nxt
-        node[parts[-1]] = value
+        *sections, leaf = key.split(".")
+        for part in sections:
+            if not isinstance(node.get(part), dict):
+                node[part] = {}
+            node = node[part]
+        node[leaf] = value
     return out
 
 
-def _section(cfg: dict, name: str) -> dict:
-    """The section ``name``, checked against the keys of its defaults."""
-    sec = cfg.get(name)
-    if not isinstance(sec, dict):
-        raise ConfigError(f"config section {name!r} missing or not an object")
-    unknown = sorted(set(sec) - set(DEFAULT_CONFIG[name]))
+def _check(values, keys: dict, section: str = "") -> dict:
+    """Each key of ``keys`` through its check, and each section of them
+    through this; names that are not keys are refused."""
+    if not isinstance(values, dict):
+        raise ConfigError(f"config section {section!r} missing or not an object")
+    unknown = sorted(set(values) - set(keys))
     if unknown:
-        raise ConfigError(f"unknown key(s) in section {name!r}: {', '.join(unknown)}")
-    return sec
+        where = f"key(s) in section {section!r}" if section else "config section(s)"
+        raise ConfigError(f"unknown {where}: {', '.join(unknown)}")
+    return {key: _check(values.get(key), spec, key) if isinstance(spec, dict)
+            else spec[1](f"{section}.{key}" if section else key, values.get(key))
+            for key, spec in keys.items()}
 
 
-def _is_number(value) -> bool:
-    """An int or float, not a bool, that is finite as a float64.
-
-    JSON admits NaN, Infinity and integers of any length; none of them is
-    a usable config number.
-    """
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:          # an int beyond the float64 range
-        return False
-
-
-def _num(name: str, sec: dict, key: str, positive=True, minimum=None,
-         maximum=None, allow=()):
-    value = sec.get(key)
-    if isinstance(value, str) and value in allow:
-        return value
-    if not _is_number(value):
-        raise ConfigError(f"{name}.{key}: expected a finite number, got {value!r}")
-    value = float(value)
-    if positive and value <= 0.0:
-        raise ConfigError(f"{name}.{key}: must be positive, got {value}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{name}.{key}: must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise ConfigError(f"{name}.{key}: must be <= {maximum}, got {value}")
-    return value
-
-
-def _int(name: str, sec: dict, key: str, minimum=None, maximum=None):
-    value = sec.get(key)
-    if not isinstance(value, int) or not _is_number(value):
+def _check_harmonics(plan: dict):
+    """n_min..n_max, against the notches, and the driven harmonic in it."""
+    n_min, n_max = plan["modal"]["n_min"], plan["modal"]["n_max"]
+    if n_max < n_min:
         raise ConfigError(
-            f"{name}.{key}: expected an integer in float64 range, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{name}.{key}: must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise ConfigError(f"{name}.{key}: must be <= {maximum}, got {value}")
-    return value
-
-
-def build_geometry(cfg: dict) -> StatorGeometry:
-    sec = _section(cfg, "geometry")
-    kwargs = {}
-    for key in DEFAULT_CONFIG["geometry"]:
-        if key == "notch_count":
-            kwargs[key] = _int("geometry", sec, key, minimum=0)
-        else:
-            kwargs[key] = _num("geometry", sec, key)
-    return StatorGeometry(**kwargs)
-
-
-def build_material(cfg: dict) -> Material:
-    sec = _section(cfg, "material")
-    overrides_raw = sec.get("damping_overrides") or {}
-    if not isinstance(overrides_raw, dict):
-        raise ConfigError("material.damping_overrides: expected an object "
-                          "mapping harmonic -> damping ratio")
-    overrides = {}
-    for key, value in overrides_raw.items():
-        try:
-            harmonic = int(key)
-        except (TypeError, ValueError):
-            raise ConfigError(
-                f"material.damping_overrides: harmonic key {key!r} is not "
-                "an integer") from None
-        overrides[harmonic] = _num("material.damping_overrides",
-                                   overrides_raw, key, positive=False)
-    # Material owns the ranges of the ratios
-    return Material(
-        youngs_modulus=_num("material", sec, "youngs_modulus"),
-        poisson_ratio=_num("material", sec, "poisson_ratio", positive=False),
-        density=_num("material", sec, "density"),
-        modal_damping_ratio=_num("material", sec, "modal_damping_ratio",
-                                 positive=False),
-        damping_overrides=overrides or None,
-    )
-
-
-def build_modal_plan(cfg: dict) -> dict:
-    sec = _section(cfg, "modal")
-    plan = {
-        "n_min": _int("modal", sec, "n_min", minimum=0),
-        "n_max": _int("modal", sec, "n_max", minimum=0),
-        "modes_per_n": _int("modal", sec, "modes_per_n", minimum=1),
-        "discretization": Discretization(
-            radial_nodes=_int("modal", sec, "radial_nodes",
-                              maximum=MAX_RADIAL_NODES)),
-        "calibrate": sec.get("calibrate"),
-        "calibration_target_n": _int("modal", sec, "calibration_target_n",
-                                     minimum=0),
-        "calibration_target_hz": _num("modal", sec, "calibration_target_hz"),
-    }
-    if not isinstance(plan["calibrate"], bool):
+            f"modal.n_max ({n_max}) must be >= modal.n_min ({n_min})")
+    # the smeared plate has no N-fold cyclic symmetry: with N notches,
+    # harmonic n couples to |N - n| and a pair splits when 2n is a multiple
+    # of N, so every retained harmonic must keep 2n below N
+    notches = plan["geometry"].notch_count
+    if notches and 2 * n_max >= notches:
         raise ConfigError(
-            f"modal.calibrate: expected true/false, got {plan['calibrate']!r}")
-    if plan["n_max"] < plan["n_min"]:
+            f"modal.n_max {n_max} is too high for geometry.notch_count "
+            f"{notches}: the homogenized plate needs 2 * n_max < notch_count "
+            "(or notch_count 0)")
+    # the driven harmonic's resonance and mode come from the solved basis
+    n_d = plan["drive"]["electrode_harmonic"]
+    if not n_min <= n_d <= n_max:
         raise ConfigError(
-            f"modal.n_max ({plan['n_max']}) must be >= modal.n_min "
-            f"({plan['n_min']})")
-    return plan
+            f"drive.electrode_harmonic {n_d} lies outside the solved harmonics "
+            f"modal.n_min..n_max = {n_min}..{n_max}")
 
 
-def build_drive_plan(cfg: dict) -> dict:
-    sec = _section(cfg, "drive")
-    layout = sec.get("phase_layout")
-    if layout not in ("quadrature", "single"):
-        raise ConfigError(
-            f"drive.phase_layout: expected 'quadrature' or 'single', got "
-            f"{layout!r}")
-    damping = sec.get("damping")
-    if damping not in ("settling-target", "material"):
-        if not _is_number(damping) or not 0.0 < damping < 1.0:
-            raise ConfigError(
-                "drive.damping: expected 'settling-target', 'material' or a "
-                f"ratio in (0, 1), got {damping!r}")
-        damping = float(damping)
-    return {
-        "drive_frequency": _num("drive", sec, "drive_frequency",
-                                allow=("resonance",)),
-        "peak_to_peak_voltage": _num("drive", sec, "peak_to_peak_voltage"),
-        "force_per_volt": _num("drive", sec, "force_per_volt",
-                               positive=False, minimum=0.0, allow=("auto",)),
-        "electrode_harmonic": _int("drive", sec, "electrode_harmonic",
-                                   minimum=1),
-        "phase_layout": layout,
-        "duration": _num("drive", sec, "duration"),
-        "dt": _num("drive", sec, "dt", allow=("auto",)),
-        "damping": damping,
-        "target_edge_amplitude": _num("drive", sec, "target_edge_amplitude"),
-    }
-
-
-def build_optics_plan(cfg: dict) -> dict:
-    sec = _section(cfg, "optics")
-    wavelength = _num("optics", sec, "wavelength")
-    sens = _num("optics", sec, "sensitivity_factor", allow=("auto",))
-    clip = _num("optics", sec, "amplitude_clip")
-    noise = _num("optics", sec, "noise_sigma", positive=False, minimum=0.0)
+def _check_optics(plan: dict):
+    """The sensitivity, the first dark fringe and the phase noise; holds
+    "auto" as a sensitivity of None."""
+    optics = plan["optics"]
+    wavelength, sens = optics["wavelength"], optics["sensitivity_factor"]
+    clip = optics["amplitude_clip"]
     # k = (2 pi / lambda)(cos theta_i + cos theta_o) and the geometry factor
     # is at most 2: "auto", normal illumination and view, is the largest k
     k_max = 4.0 * math.pi / wavelength
@@ -325,44 +319,28 @@ def build_optics_plan(cfg: dict) -> dict:
     if J0_FIRST_ZERO / k > clip * (1 + 1e-12):
         raise ConfigError(f"optics: the first dark fringe lies at "
                           f"{J0_FIRST_ZERO / k:.6g} m, beyond "
-                          f"optics.amplitude_clip {clip:g} m")
+                          f"optics.amplitude_clip {clip:g} m (set by "
+                          "optics.wavelength and optics.sensitivity_factor)")
     # a phase noise of pi or more leaves no fringe order to unwrap
-    if noise >= math.pi:
-        raise ConfigError(f"optics.noise_sigma: must be < pi rad, got {noise}")
-    return {
-        "wavelength": wavelength,
-        "sensitivity_factor": None if sens == "auto" else sens,
-        "strobe_duty": _num("optics", sec, "strobe_duty", maximum=STROBE_DUTY_LIMIT),
-        "amplitude_clip": clip,
-        "noise_sigma": noise,
-    }
+    if optics["noise_sigma"] >= math.pi:
+        raise ConfigError(
+            f"optics.noise_sigma: must be < pi rad, got {optics['noise_sigma']}")
+    optics["sensitivity_factor"] = None if sens == "auto" else sens
 
 
-def build_analysis_plan(cfg: dict) -> dict:
-    sec = _section(cfg, "analysis")
-    radii = sec.get("probe_radii")
-    if (not isinstance(radii, (list, tuple)) or not radii
-            or not all(_is_number(r) and r > 0 for r in radii)):
-        raise ConfigError(
-            "analysis.probe_radii: expected a non-empty list of positive "
-            f"radii, got {radii!r}")
-    phases = sec.get("strobe_phases_deg")
-    if (not isinstance(phases, (list, tuple)) or len(phases) < 1
-            or not all(_is_number(p) for p in phases)):
-        raise ConfigError(
-            "analysis.strobe_phases_deg: expected a list of finite strobe "
-            f"phases in degrees, got {phases!r}")
+def _check_strobes(plan: dict):
+    """Enough distinct strobe phases, close enough, all in the run's span."""
+    ana = plan["analysis"]
+    phases, offset = ana["strobe_phases_deg"], ana["strobe_offset_deg"]
     distinct = sorted(set(phases))
     if len(distinct) < 3:
         raise ConfigError(
             "analysis.strobe_phases_deg: need at least 3 distinct strobe "
             f"phases, got {phases!r}")
-    widest = max(b - a for a, b in zip(distinct, distinct[1:]))
-    if widest >= STROBE_STEP_LIMIT_DEG:
+    if max(b - a for a, b in zip(distinct, distinct[1:])) >= STROBE_STEP_LIMIT_DEG:
         raise ConfigError(
             "analysis.strobe_phases_deg: consecutive strobe phases must be "
             f"less than {STROBE_STEP_LIMIT_DEG:g} deg apart, got {phases!r}")
-    offset = _num("analysis", sec, "strobe_offset_deg")
     # fringes strobes at 0 and the offset, fit at each phase and phase + offset
     last = max(0.0, max(phases)) + offset
     if last > STROBE_SPAN_LIMIT_DEG:
@@ -371,88 +349,11 @@ def build_analysis_plan(cfg: dict) -> dict:
             f"strobe_phases_deg)) + strobe_offset_deg = {last:g} deg, lies "
             f"past the {STROBE_SPAN_LIMIT_DEG:g} deg of the run's last two "
             "drive cycles")
-    theta = sec.get("probe_theta")
-    if not _is_number(theta):
-        raise ConfigError(
-            f"analysis.probe_theta: expected a finite number, got {theta!r}")
-    return {
-        "probe_radii": [float(r) for r in radii],
-        "probe_theta": float(theta),
-        "circle_radius": _num("analysis", sec, "circle_radius"),
-        "circle_count": _int("analysis", sec, "circle_count", minimum=8,
-                             maximum=MAX_CIRCLE_COUNT),
-        "strobe_offset_deg": offset,
-        "strobe_phases_deg": [float(p) for p in phases],
-        "settling_band": _num("analysis", sec, "settling_band", maximum=0.5),
-        "settling_time_target": _num("analysis", sec, "settling_time_target"),
-    }
 
 
-def build_image_plan(cfg: dict) -> dict:
-    sec = _section(cfg, "image")
-    return {
-        "pixels": _int("image", sec, "pixels", minimum=16, maximum=MAX_PIXELS),
-        "margin": _num("image", sec, "margin", minimum=1.0),
-    }
-
-
-def build_seed(cfg: dict) -> int:
-    seed = cfg.get("seed")
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError(f"seed: expected a non-negative integer, got {seed!r}")
-    return seed
-
-
-def build_output_dir(cfg: dict) -> str:
-    sec = _section(cfg, "output")
-    directory = sec.get("directory")
-    if not isinstance(directory, str) or not directory:
-        raise ConfigError(
-            f"output.directory: expected a non-empty path, got {directory!r}")
-    return directory
-
-
-def validate_config(cfg: dict) -> dict:
-    """Build every typed object/plan up front; raises ConfigError on any
-    problem, inconsistent geometry, material or mesh included, so commands
-    never start computing from a bad config."""
-    unknown = sorted(set(cfg) - set(DEFAULT_CONFIG))
-    if unknown:
-        raise ConfigError(f"unknown config section(s): {', '.join(unknown)}")
-    try:
-        geometry = build_geometry(cfg)
-        material = build_material(cfg)
-        modal = build_modal_plan(cfg)
-    except (GeometryError, DiscretizationError) as exc:
-        raise ConfigError(str(exc)) from None
-    plan = {
-        "geometry": geometry,
-        "material": material,
-        "modal": modal,
-        "drive": build_drive_plan(cfg),
-        "optics": build_optics_plan(cfg),
-        "analysis": build_analysis_plan(cfg),
-        "image": build_image_plan(cfg),
-        "output_dir": build_output_dir(cfg),
-        "seed": build_seed(cfg),
-    }
-    # the smeared plate has no N-fold cyclic symmetry: with N notches,
-    # harmonic n couples to |N - n| and a pair splits when 2n is a multiple
-    # of N, so every retained harmonic must keep 2n below N
-    notches, n_max = geometry.notch_count, plan["modal"]["n_max"]
-    if notches and 2 * n_max >= notches:
-        raise ConfigError(
-            f"modal.n_max {n_max} is too high for geometry.notch_count "
-            f"{notches}: the homogenized plate needs 2 * n_max < notch_count "
-            "(or notch_count 0)")
-    # the driven harmonic's resonance and mode come from the solved basis
-    n_d, n_min = plan["drive"]["electrode_harmonic"], plan["modal"]["n_min"]
-    if not n_min <= n_d <= n_max:
-        raise ConfigError(
-            f"drive.electrode_harmonic {n_d} lies outside the solved harmonics "
-            f"modal.n_min..n_max = {n_min}..{n_max}")
-    # every sampling radius lies on the moving plate: (clamp, rim]
-    rim, clamp = geometry.outer_radius, geometry.fixture_radius
+def _check_radii(plan: dict):
+    """Every sampling radius lies on the moving plate: (clamp, rim]."""
+    rim, clamp = plan["geometry"].outer_radius, plan["geometry"].fixture_radius
     ana = plan["analysis"]
     for key, radii in (("probe_radii", ana["probe_radii"]),
                        ("circle_radius", [ana["circle_radius"]])):
@@ -460,9 +361,31 @@ def validate_config(cfg: dict) -> dict:
             if r > rim * (1 + 1e-12):
                 raise ConfigError(
                     f"analysis.{key}: {r} lies outside the stator "
-                    f"(outer radius {rim})")
+                    f"(geometry.outer_radius {rim})")
             if r <= clamp:
                 raise ConfigError(
                     f"analysis.{key}: {r} lies inside the clamp, where the "
                     f"plate does not move (geometry.fixture_radius {clamp})")
+
+
+def validate_config(cfg: dict) -> dict:
+    """The plan the commands run; raises ConfigError on any problem,
+    inconsistent geometry, material or mesh included, so commands never
+    start computing from a bad config.
+
+    Every key goes through its check in ``KEYS``; the geometry, material
+    and mesh are then built, and the checks that span keys run.
+    """
+    plan = _check(cfg, KEYS)
+    try:
+        plan["geometry"] = StatorGeometry(**plan["geometry"])
+        plan["material"] = Material(**plan["material"])
+        modal = plan["modal"]
+        modal["discretization"] = Discretization(modal.pop("radial_nodes"))
+    except (GeometryError, DiscretizationError) as exc:
+        raise ConfigError(str(exc)) from None
+    plan["output_dir"] = plan.pop("output")["directory"]
+    for cross_check in (_check_harmonics, _check_optics, _check_strobes,
+                        _check_radii):
+        cross_check(plan)
     return plan

@@ -38,7 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import STROBE_DUTY_LIMIT, DomainError, NumericalError, TimeStepError
+from .errors import (ELECTRODE_MIN_HARMONIC, PHASE_LAYOUTS, STROBE_DUTY_LIMIT,
+                     DomainError, NumericalError, TimeStepError)
 from .grids import DisplacementField
 from .modal import ModalBasis, Mode, radial_shapes
 
@@ -69,14 +70,15 @@ class DriveConfig:
         if self.force_per_volt < 0.0:
             raise DomainError(
                 f"force_per_volt must be >= 0, got {self.force_per_volt}")
-        if self.electrode_harmonic < 1 or int(self.electrode_harmonic) != self.electrode_harmonic:
+        if (self.electrode_harmonic < ELECTRODE_MIN_HARMONIC
+                or int(self.electrode_harmonic) != self.electrode_harmonic):
             raise DomainError(
-                f"electrode_harmonic must be an integer >= 1, got "
-                f"{self.electrode_harmonic}")
-        if self.phase_layout not in ("quadrature", "single"):
+                f"electrode_harmonic must be an integer >= "
+                f"{ELECTRODE_MIN_HARMONIC}, got {self.electrode_harmonic}")
+        if self.phase_layout not in PHASE_LAYOUTS:
             raise DomainError(
-                f"phase_layout must be 'quadrature' or 'single', got "
-                f"{self.phase_layout!r}")
+                f"phase_layout must be {' or '.join(map(repr, PHASE_LAYOUTS))}, "
+                f"got {self.phase_layout!r}")
 
     @property
     def omega(self) -> float:

@@ -10,6 +10,14 @@ STROBE_STEP_LIMIT_DEG = 180.0
 STROBE_SPAN_LIMIT_DEG = 720.0
 # the widest strobe window, as a fraction of the drive period
 STROBE_DUTY_LIMIT = 0.2
+# the smallest raster (pixels per side, and the imaged half-width as a
+# multiple of the outer radius) and the fewest samples on a ring
+RASTER_MIN_PIXELS = 16
+RASTER_MIN_MARGIN = 1.0
+RING_MIN_COUNT = 8
+# the electrode layouts, and the lowest harmonic the electrodes can drive
+PHASE_LAYOUTS = ("quadrature", "single")
+ELECTRODE_MIN_HARMONIC = 1
 # first zero of J0: float(scipy.special.jn_zeros(0, 1)[0]) bit for bit; the
 # first dark time-averaged fringe lies where k a reaches it
 J0_FIRST_ZERO = 2.4048255576957724

@@ -88,7 +88,8 @@ class StatorGeometry:
         if self.notch_count * self.notch_width >= circumference:
             raise GeometryError(
                 f"{self.notch_count} notches of width {self.notch_width} m do not fit on "
-                f"the tooth band circumference ({circumference:.6g} m)")
+                f"the tooth band circumference ({circumference:.6g} m): notch_count * "
+                "notch_width must stay below 2 pi tooth_band_inner_radius")
 
     @property
     def base_thickness(self) -> float:
@@ -134,6 +135,8 @@ class Material:
                 f"modal_damping_ratio must lie in (0, 1), got {self.modal_damping_ratio}")
         if self.damping_overrides:
             for n, z in self.damping_overrides.items():
+                if n < 0:
+                    raise GeometryError(f"damping override harmonic must be >= 0, got {n}")
                 if not 0.0 < z < 1.0:
                     raise GeometryError(f"damping override for n={n} must lie in (0, 1), got {z}")
 

@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, GridMismatchError
+from .errors import (RASTER_MIN_MARGIN, RASTER_MIN_PIXELS, RING_MIN_COUNT,
+                     DomainError, GridMismatchError)
 
 
 @dataclass(frozen=True)
@@ -66,10 +67,12 @@ class RasterGrid(_Samples):
             raise DomainError(
                 f"need 0 <= inner_radius < outer_radius, got "
                 f"{self.inner_radius} and {self.outer_radius}")
-        if self.pixels < 16:
-            raise DomainError(f"pixels must be >= 16, got {self.pixels}")
-        if self.margin < 1.0:
-            raise DomainError(f"margin must be >= 1, got {self.margin}")
+        if self.pixels < RASTER_MIN_PIXELS:
+            raise DomainError(
+                f"pixels must be >= {RASTER_MIN_PIXELS}, got {self.pixels}")
+        if self.margin < RASTER_MIN_MARGIN:
+            raise DomainError(
+                f"margin must be >= {RASTER_MIN_MARGIN:g}, got {self.margin}")
         half = self.extent
         # pixel centers, row 0 at +y so exported images keep math orientation
         axis = (np.arange(self.pixels) + 0.5) / self.pixels * 2.0 * half - half
@@ -105,8 +108,9 @@ class RingGrid(_Samples):
     def __post_init__(self):
         if self.radius <= 0.0:
             raise DomainError(f"ring radius must be positive, got {self.radius}")
-        if self.count < 8:
-            raise DomainError(f"ring sample count must be >= 8, got {self.count}")
+        if self.count < RING_MIN_COUNT:
+            raise DomainError(f"ring sample count must be >= {RING_MIN_COUNT}, "
+                              f"got {self.count}")
         self._fill(np.full(self.count, self.radius),
                    2.0 * np.pi * np.arange(self.count) / self.count,
                    np.ones(self.count, dtype=bool))

@@ -67,6 +67,13 @@ def test_apply_overrides():
         apply_overrides(cfg, ["drive.duration"])
 
 
+# every default survives JSON, and the plan read back is the default plan
+def test_default_config_survives_a_json_round_trip():
+    trip = json.loads(json.dumps(DEFAULT_CONFIG))
+    assert trip == DEFAULT_CONFIG
+    assert validate_config(trip) == validate_config(default_config())
+
+
 def test_validate_config_builds_plan():
     plan = validate_config(default_config())
     assert set(plan) == {"geometry", "material", "modal", "drive", "optics",
@@ -76,6 +83,14 @@ def test_validate_config_builds_plan():
     assert plan["drive"]["drive_frequency"] == "resonance"
     assert plan["optics"]["sensitivity_factor"] is None
     assert plan["seed"] == 20230425
+    # the keys of each section, which the commands and the tools read
+    assert set(plan["modal"]) == {"n_min", "n_max", "modes_per_n",
+                                  "discretization", "calibrate",
+                                  "calibration_target_n",
+                                  "calibration_target_hz"}
+    assert set(plan["optics"]) == set(DEFAULT_CONFIG["optics"])
+    for section in ("drive", "analysis", "image"):
+        assert plan[section] == DEFAULT_CONFIG[section]
 
 
 def test_damping_overrides_reach_material():
@@ -120,8 +135,27 @@ def test_damping_overrides_reach_material():
     ("analysis.circle_count=4097", "analysis.circle_count: must be <= 4096"),
     ("seed=-3", "seed"),
     ("material.damping_overrides.x=0.01", "not an integer"),
+    # a harmonic is written one way only, so "4" and "04" cannot both set
+    # harmonic 4, one of them silently lost
+    ("material.damping_overrides.04=0.03",
+     "harmonic key '04' is not an integer in plain form"),
+    ("material.damping_overrides.-2=0.01",
+     "damping override harmonic must be >= 0, got -2"),
     ("geometry.fixture_radius=0.012", "fixture_radius"),
     ("geometry.notch_count=400", "do not fit"),
+    # each refusal names the keys that caused it
+    ("geometry.notch_width=0.5", "22 notches of width 0.5 m do not fit .*: "
+                                 "notch_count \\* notch_width must stay below"),
+    ("optics.wavelength=0.5", "beyond optics.amplitude_clip 2e-06 m \\(set by "
+                              "optics.wavelength and optics.sensitivity_factor"),
+    ("optics.sensitivity_factor=3", "first dark fringe lies at 0.801609 m, "
+                                    "beyond optics.amplitude_clip .*"
+                                    "optics.sensitivity_factor\\)"),
+    ("analysis.probe_radii=[0.0102,0.016]", "probe_radii: 0.016 lies outside "
+                                            "the stator \\(geometry.outer_radius "
+                                            "0.015\\)"),
+    ("analysis.circle_radius=0.016", "circle_radius: 0.016 lies outside the "
+                                     "stator \\(geometry.outer_radius 0.015\\)"),
     ("geometry.notch_count=4", "modal.n_max 7 is too high for "
                                "geometry.notch_count 4"),
     ("geometry.notch_count=14", "2 \\* n_max < notch_count"),  # 2n = N

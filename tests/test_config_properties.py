@@ -57,10 +57,10 @@ def test_single_override_is_rejected_or_finite(path, value):
     (cfg if section is None else cfg[section])[key] = value
     try:
         plan = validate_config(cfg)
-    except ConfigError:
+    except ConfigError as exc:
+        # a refusal names the key that caused it
+        assert key in str(exc), f"{section}.{key}={value!r}: {exc}"
         return
-    # the seed is any non-negative integer, as numpy's SeedSequence takes
-    plan.pop("seed")
     for number in _numbers(plan):
         # False for nan, +-inf and ints past the float64 range alike
         assert abs(number) <= sys.float_info.max, \

@@ -60,6 +60,8 @@ def test_material_validation():
         Material(modal_damping_ratio=1.0)
     with pytest.raises(GeometryError):
         Material(damping_overrides={4: 1.5})
+    with pytest.raises(GeometryError, match="harmonic must be >= 0, got -2"):
+        Material(damping_overrides={-2: 0.01})
 
 
 def test_damping_override_lookup():
