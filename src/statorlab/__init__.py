@@ -1,7 +1,7 @@
 """statorlab: modal simulation and holographic-observable synthesis
 for traveling-wave ultrasonic stators."""
 
-__version__ = "0.1.6"
+__version__ = "0.1.7"
 
 import importlib
 

@@ -23,7 +23,14 @@ modes).  Probes and renders alike contract the real and imaginary parts
 of the state with real shape tables.  Each trajectory keeps one shape
 table per (grid, live modes): renders on one grid with the same live
 modes, such as its envelope and its strobe snapshots, evaluate the shapes
-once, and W(r) is evaluated once per distinct radius of the grid.
+once, and W(r) is evaluated once per distinct radius of the grid.  The
+angular patterns cos(n theta) and sin(n theta) are the real and imaginary
+parts of e^{i n theta}, powered block by block from the grid's stored
+e^{i theta} (``grid.unit``) by ``modal.angular_patterns``, with no trig
+call; probes, renders and ``Mode.angular`` share that one routine, so a
+sample's shape has the same bits whichever of them evaluates it.
+``respond`` evaluates each distinct decay exponent once: the two modes of
+a cos/sin pair share theirs.
 An envelope contracts the real and imaginary parts of the complex state
 with the real shape table and takes their magnitude on the masked samples
 only, so no complex table or raster is formed.  ``steady_envelope``
@@ -41,7 +48,8 @@ import numpy as np
 from .errors import (ELECTRODE_MIN_HARMONIC, PHASE_LAYOUTS, STROBE_DUTY_LIMIT,
                      DomainError, NumericalError, TimeStepError)
 from .grids import DisplacementField
-from .modal import ModalBasis, Mode, radial_shapes
+from .modal import (ModalBasis, Mode, angular_patterns, radial_shapes,
+                    unit_phasors)
 
 ENVELOPE_BOUND_SLACK = 1e-9
 # modes x samples of one trajectory: 2^22 complex128 values are 67 MB
@@ -206,8 +214,10 @@ def respond(basis: ModalBasis, drive: DriveConfig, duration: float,
     dt <= 1/(20 f_max) is still enforced so downstream envelope and crest
     measurements stay well sampled.
 
-    ``initial`` optionally sets the starting complex modal state (default
-    is from rest); useful for free-decay studies with force_per_volt = 0.
+    ``initial`` optionally sets the starting complex modal state, one
+    value per basis mode (default is from rest); useful for free-decay
+    studies with force_per_volt = 0.  The decay e^{(-alpha + i wd) t} is
+    evaluated once per distinct exponent: a cos/sin pair shares it.
     """
     if len(basis) == 0:
         raise DomainError("modal basis is empty")
@@ -239,13 +249,20 @@ def respond(basis: ModalBasis, drive: DriveConfig, duration: float,
 
     alpha, wd, Q, C = _mode_constants(basis, drive)
     if initial is not None:
-        C = np.asarray(initial, dtype=complex) - Q
+        initial = np.asarray(initial, dtype=complex)
+        if initial.shape != Q.shape:
+            raise DomainError(
+                f"initial state must hold one complex value per basis mode "
+                f"({Q.size}), got shape {initial.shape}")
+        C = initial - Q
     times = dt * np.arange(int(samples))
     E = np.exp(1.0j * drive.omega * times)
     # undriven modes at rest stay exactly zero
     live = (Q != 0.0) | (C != 0.0)
+    exponents, row = np.unique(-alpha[live] + 1.0j * wd[live],
+                               return_inverse=True)
     q_live = (Q[live, None] * E + C[live, None]
-              * np.exp(np.outer(-alpha[live] + 1.0j * wd[live], times)))
+              * np.exp(np.outer(exponents, times))[row])
 
     # |q| <= |Q| + |C| e^{-alpha t}: any excursion past that is a bug (the
     # zero rows of dead modes cannot exceed it), and an overflowed sample
@@ -325,20 +342,14 @@ def _mode_shapes_on(modes, grid) -> np.ndarray:
 
     W(r) is evaluated once per distinct radius (``grid.radii``) and
     gathered to the samples through ``grid.radius_index``; each row is
-    then multiplied in place by its mode's angular pattern, formed in one
-    reused buffer.  Every value equals ``W(r) * angular(theta)`` evaluated
-    sample by sample.
+    then multiplied in place by its mode's angular pattern, powered block
+    by block from the grid's stored e^{i theta} (``grid.unit``) by
+    ``angular_patterns``.  Every value equals ``W(r) * angular(theta)``
+    evaluated sample by sample.
     """
     shapes = np.take(radial_shapes(modes, grid.radii), grid.radius_index,
                      axis=1)
-    theta = grid.theta[grid.mask]
-    angular = np.empty_like(theta)
-    for row, m in zip(shapes, modes):
-        if m.angular_leak:
-            row *= m.angular(theta)
-            continue
-        trig = np.cos if m.orientation == "cos" else np.sin
-        row *= trig(np.multiply(m.n, theta, out=angular), out=angular)
+    angular_patterns(modes, grid.unit, shapes)
     return shapes
 
 
@@ -361,6 +372,9 @@ def _render(basis: ModalBasis, grid, state: np.ndarray,
                   else trajectory._shapes_on(grid, modes))
         if np.iscomplexobj(state):
             re, im = np.stack([state[live].real, state[live].imag]) @ shapes
+            # a table built for this render alone is freed before the
+            # raster's pages are touched
+            del shapes
             values[grid.mask] = np.hypot(re, im, out=re)
         else:
             values[grid.mask] = state[live] @ shapes
@@ -461,7 +475,7 @@ def probe(basis: ModalBasis, trajectory: ModalTrajectory, points,
     live = trajectory.q.any(axis=1)
     modes = [m for m, on in zip(basis, live) if on]
     shapes = radial_shapes(modes, r)
-    shapes *= np.reshape([m.angular(theta) for m in modes], shapes.shape)
+    angular_patterns(modes, unit_phasors(theta), shapes)
     q, steady = trajectory.q[live], trajectory.steady[live]
     disp = shapes.T @ q.real
     # np.abs of the complex series, not np.hypot: their last bits differ,

@@ -1,19 +1,23 @@
 """Sampling grids and displacement fields.
 
 Both grid flavors inherit one sample surface from ``_Samples`` and fill
-it in one routine: per-sample ``r``, ``theta`` and ``mask``, plus
-``radii``, the distinct radii of the masked samples in ascending order
-(from ``np.unique``), and ``radius_index``, each masked sample's position
-in it, so ``radii[radius_index]`` is ``r[mask]`` and a function of the
-radius alone is evaluated once per distinct radius.  None of these arrays
-take part in equality, hashing or ``describe()``; two grids are the same
-grid when their defining fields are equal, which is the test
-``require_same_grid`` applies and the key a trajectory's shape tables use.
-Each flavor also has ``shape`` and a ``describe()`` metadata dict:
+it in one routine.  It stores the per-sample ``mask``; ``radii``, the
+distinct radii of the masked samples in ascending order (from
+``np.unique``); ``radius_index``, each masked sample's position in it, so
+``radii[radius_index]`` is ``r[mask]`` and a function of the radius alone
+is evaluated once per distinct radius; and ``unit``, e^{i theta} at each
+masked sample, from ``np.cos`` and ``np.sin`` of ``theta[mask]``, from
+which ``modal`` forms every angular pattern cos(n theta), sin(n theta) by
+complex powering.  The full-sample ``r`` and ``theta`` are not stored:
+each is a property that recomputes the grid's expression on every read.
+None of these arrays take part in equality, hashing or ``describe()``;
+two grids are the same grid when their defining fields are equal, which
+is the test ``require_same_grid`` applies and the key a trajectory's
+shape tables use.  Each flavor also has ``shape`` and a ``describe()``
+metadata dict:
 
 * ``RasterGrid``: a square camera-style image in Cartesian pixel layout,
-  with polar coordinates precomputed per pixel and an annulus validity
-  mask.  This is what the fringe images render on.
+  with polar coordinates per pixel and an annulus validity mask.  This is what the fringe images render on.
 * ``RingGrid``: a single circle of uniform angular samples at a fixed
   radius.  The quantitative pipeline (strobe difference, unwrap, fit)
   runs on rings, where circular sampling is exact rather than
@@ -32,24 +36,26 @@ import numpy as np
 
 from .errors import (RASTER_MIN_MARGIN, RASTER_MIN_PIXELS, RING_MIN_COUNT,
                      DomainError, GridMismatchError)
+from .modal import unit_phasors
 
 
 @dataclass(frozen=True)
 class _Samples:
-    """The sample surface both grids fill: per-sample ``r``, ``theta`` and
-    ``mask``, and the distinct masked radii with each masked sample's index
-    into them.  None of it takes part in equality, hashing or ``repr``."""
+    """The sample surface both grids fill: the per-sample ``mask``, the
+    distinct masked radii with each masked sample's index into them, and
+    e^{i theta} at each masked sample.  None of it takes part in equality,
+    hashing or ``repr``."""
 
-    r: np.ndarray = field(init=False, repr=False, compare=False)
-    theta: np.ndarray = field(init=False, repr=False, compare=False)
     mask: np.ndarray = field(init=False, repr=False, compare=False)
     radii: np.ndarray = field(init=False, repr=False, compare=False)
     radius_index: np.ndarray = field(init=False, repr=False, compare=False)
+    unit: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def _fill(self, r: np.ndarray, theta: np.ndarray, mask: np.ndarray):
+    def _fill(self, r: np.ndarray, mask: np.ndarray):
         radii, radius_index = np.unique(r[mask], return_inverse=True)
-        for name, value in (("r", r), ("theta", theta), ("mask", mask),
-                            ("radii", radii), ("radius_index", radius_index)):
+        for name, value in (("mask", mask), ("radii", radii),
+                            ("radius_index", radius_index),
+                            ("unit", unit_phasors(self.theta[mask]))):
             object.__setattr__(self, name, value)
 
 
@@ -73,14 +79,27 @@ class RasterGrid(_Samples):
         if self.margin < RASTER_MIN_MARGIN:
             raise DomainError(
                 f"margin must be >= {RASTER_MIN_MARGIN:g}, got {self.margin}")
+        r = self.r
+        self._fill(r, (r >= self.inner_radius) & (r <= self.outer_radius))
+
+    def _axes(self):
+        """Pixel-center x (a row) and y (a column) in meters."""
         half = self.extent
         # pixel centers, row 0 at +y so exported images keep math orientation
         axis = (np.arange(self.pixels) + 0.5) / self.pixels * 2.0 * half - half
-        x = axis[None, :]
-        y = axis[::-1, None]
-        r = np.hypot(x, y)
-        self._fill(r, np.mod(np.arctan2(y, x), 2.0 * np.pi),
-                   (r >= self.inner_radius) & (r <= self.outer_radius))
+        return axis[None, :], axis[::-1, None]
+
+    @property
+    def r(self) -> np.ndarray:
+        """Radius of every pixel center, recomputed on each read."""
+        return np.hypot(*self._axes())
+
+    @property
+    def theta(self) -> np.ndarray:
+        """Angle in [0, 2 pi) of every pixel center, recomputed on each read."""
+        x, y = self._axes()
+        theta = np.arctan2(y, x)
+        return np.mod(theta, 2.0 * np.pi, out=theta)
 
     @property
     def shape(self):
@@ -111,9 +130,16 @@ class RingGrid(_Samples):
         if self.count < RING_MIN_COUNT:
             raise DomainError(f"ring sample count must be >= {RING_MIN_COUNT}, "
                               f"got {self.count}")
-        self._fill(np.full(self.count, self.radius),
-                   2.0 * np.pi * np.arange(self.count) / self.count,
-                   np.ones(self.count, dtype=bool))
+        self._fill(self.r, np.ones(self.count, dtype=bool))
+
+    @property
+    def r(self) -> np.ndarray:
+        return np.full(self.count, self.radius)
+
+    @property
+    def theta(self) -> np.ndarray:
+        """The uniform sample angles, recomputed on each read."""
+        return 2.0 * np.pi * np.arange(self.count) / self.count
 
     @property
     def shape(self):
@@ -218,6 +244,6 @@ def circle_values(fld: DisplacementField, radius: float | None = None,
                                                  rtol=1e-9, atol=0.0):
             raise DomainError(
                 f"ring grid holds radius {grid.radius}, asked for {radius}")
-        return grid.theta.copy(), fld.values.copy()
+        return grid.theta, fld.values.copy()
     ring = _raster_ring(grid, radius, count)
     return ring.theta, bilinear_sample(grid, fld.values, ring.r, ring.theta)

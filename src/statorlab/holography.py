@@ -127,6 +127,7 @@ def _wrap_in_place(w: np.ndarray) -> np.ndarray:
 _J0_NODES = 128          # Taylor table nodes per unit of x
 _J0_DEGREE = 5
 _J0_SPLIT = 50.0         # Taylor table below, Hankel expansion from here up
+_J0_BLOCK = 512          # table nodes evaluated at once
 # Hankel's P and Q for order 0 in powers of 1/x^2 (Abramowitz & Stegun 9.2.9-10)
 _J0_P = (1.0, -9 / 128, 3675 / 32768, -2401245 / 4194304,
          13043905875 / 2147483648)
@@ -141,10 +142,14 @@ def _j0_table() -> np.ndarray:
     x = np.arange(round(_J0_SPLIT * _J0_NODES) + 1) / _J0_NODES
     # 32 midpoints on [0, pi/2] are the 64-point rule on the symmetric [0, pi]
     s = np.sin((np.arange(32) + 0.5) * (math.pi / 64))
-    xs = np.multiply.outer(x, s)
     c = np.empty((_J0_DEGREE + 1, x.size))
-    c[0] = np.cos(xs).mean(axis=1)               # J0
-    c[1] = -(np.sin(xs) @ s) / 32                # J0' = -J1
+    # in blocks of nodes, so no (nodes, 32) array is held; each node's mean
+    # and dot product are the same whatever block it falls in
+    for start in range(0, x.size, _J0_BLOCK):
+        part = slice(start, start + _J0_BLOCK)
+        xs = np.multiply.outer(x[part], s)
+        c[0, part] = np.cos(xs).mean(axis=1)         # J0
+        c[1, part] = -(np.sin(xs) @ s) / 32          # J0' = -J1
     # x y'' + y' + x y = 0 differentiated k times, in Taylor coefficients:
     # x (k+1)(k+2) c[k+2] = -((k+1)^2 c[k+1] + x c[k] + c[k-1])
     xp, before = x[1:], 0.0

@@ -39,6 +39,12 @@ with ``n`` only by ``c_n``) is formed once, and each harmonic forms only
 its curvature terms and stiffness blocks.  The element integrals use a
 fixed 6-point Gauss rule, the order the eigen gate was measured at.
 
+A mode's angular pattern cos(n theta) or sin(n theta) is the real or
+imaginary part of e^{i n theta}, which ``angular_patterns`` forms from
+e^{i theta} (``unit_phasors``) by binary powering, block by block, with
+no trig call per mode; ``Mode.angular``, probes and grid renders all go
+through it.
+
 The default mesh is 32 radial nodes, the coarsest rung of 16/32/64 whose
 answers on the default config stay within 5e-7 in frequency and 5e-6 of
 the envelope peak of twice the mesh (``tests/test_mesh_convergence.py``;
@@ -47,6 +53,7 @@ the envelope peak of twice the mesh (``tests/test_mesh_convergence.py``;
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, replace
 
@@ -75,6 +82,9 @@ _SUBSPACE_EXTRA = 2
 _SUBSPACE_PASSES = 8
 # the boundary conditions every solved mode satisfies
 _BOUNDARY = "clamped-at-fixture/free-at-edges"
+# samples per block of the angular patterns: their two-row complex scratch
+# is 512 kB
+_ANGULAR_BLOCK = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -265,6 +275,70 @@ def radial_shapes(modes, r) -> np.ndarray:
     return out
 
 
+def unit_phasors(theta) -> np.ndarray:
+    """e^{i theta}: real part ``np.cos(theta)``, imaginary part
+    ``np.sin(theta)``, bit for bit."""
+    theta = np.asarray(theta, dtype=float)
+    unit = np.empty(theta.shape, dtype=complex)
+    unit.real = np.cos(theta)
+    unit.imag = np.sin(theta)
+    return unit
+
+
+def _power(unit: np.ndarray, n: int, work: np.ndarray) -> np.ndarray:
+    """``unit ** n`` by left-to-right binary powering, in ``work``.
+
+    From the leading bit of n down, the power is squared and, on each 1
+    bit, multiplied by ``unit``: ``floor(log2 n)`` squarings and at most as
+    many products.  ``work`` is a (2, block) complex scratch array; each
+    product writes to the row it does not read, and the result is returned
+    as one of its rows.  No product aliases its output: numpy rounds an
+    in-place complex product of one sample as a reduction, without the
+    fused multiply-add of its vector loop, so aliasing would make a
+    sample's bits depend on the length of its block.
+    """
+    if n == 0:
+        work[0] = 1.0
+        return work[0]
+    power, free = unit, 0
+    for bit in bin(n)[3:]:
+        power, free = np.multiply(power, power, out=work[free]), 1 - free
+        if bit == "1":
+            power, free = np.multiply(power, unit, out=work[free]), 1 - free
+    return power
+
+
+def angular_patterns(modes, unit: np.ndarray, rows: np.ndarray):
+    """Multiply ``rows[k]`` in place by the angular pattern of ``modes[k]``.
+
+    ``unit`` holds e^{i theta} at the samples (``unit_phasors``).  Block by
+    block of ``_ANGULAR_BLOCK`` samples, e^{i n theta} is formed by
+    ``_power``, once for consecutive modes of the same harmonic (a cos/sin
+    pair): cos(n theta) is its real part and sin(n theta) its imaginary
+    part.  An ``angular_leak`` term adds ``weight`` times the foreign
+    harmonic's pattern of the same orientation.  No trig function is
+    called, and every caller shares this one path, so a sample's pattern
+    does not depend on which routine asked for it.
+    """
+    work = np.empty((2, min(unit.size, _ANGULAR_BLOCK)), dtype=complex)
+    for start in range(0, unit.size, _ANGULAR_BLOCK):
+        u = unit[start:start + _ANGULAR_BLOCK]
+        block = work[:, :u.size]
+        powered = None
+        for row, m in zip(rows, modes):
+            side = "real" if m.orientation == "cos" else "imag"
+            if m.n != powered:
+                powered, phasor = m.n, _power(u, m.n, block)
+            part = getattr(phasor, side)
+            if m.angular_leak:
+                part = part.copy()
+                for harmonic, weight in m.angular_leak:
+                    part = part + weight * getattr(_power(u, harmonic, block),
+                                                   side)
+                powered = None
+            row[start:start + u.size] *= part
+
+
 @dataclass(frozen=True)
 class Mode:
     """One mass-normalized eigenmode of the plate.
@@ -308,15 +382,21 @@ class Mode:
         return radial_shapes((self,), r)[0]
 
     def angular(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        trig = np.cos if self.orientation == "cos" else np.sin
-        out = trig(self.n * theta)
-        for m, weight in self.angular_leak:
-            out = out + weight * trig(m * theta)
-        return out
+        """cos(n theta) or sin(n theta), plus any ``angular_leak``, formed
+        by ``angular_patterns`` from ``unit_phasors(theta)``."""
+        unit = unit_phasors(theta)
+        out = np.ones(unit.shape)
+        angular_patterns((self,), unit.reshape(-1), out.reshape(1, -1))
+        return out[()]
 
     def radial_moment(self) -> float:
         """Int W(r) r dr over the active annulus (exact per-element Gauss)."""
+        return self._radial_moment
+
+    @functools.cached_property
+    def _radial_moment(self) -> float:
+        # evaluated once per mode; dataclasses.replace builds a new mode,
+        # which evaluates its own
         h = np.diff(self.radial_nodes)[:, None]
         r = self.radial_nodes[:-1, None] + 0.5 * (_MOMENT_XI + 1.0) * h
         return float(np.sum(0.5 * _MOMENT_W * h * self.radial(r) * r))

@@ -69,6 +69,38 @@ def test_raster_distinct_radii(pixels, margin):
                               pixels=pixels + 1, margin=margin)
 
 
+@pytest.mark.parametrize("pixels", [64, 129])
+def test_raster_r_and_theta_recompute_the_pixel_expressions(pixels):
+    grid = RasterGrid(inner_radius=3.75e-3, outer_radius=15e-3, pixels=pixels)
+    half = grid.extent
+    axis = (np.arange(pixels) + 0.5) / pixels * 2.0 * half - half
+    x, y = axis[None, :], axis[::-1, None]
+    assert np.array_equal(grid.r, np.hypot(x, y))
+    assert np.array_equal(grid.theta, np.mod(np.arctan2(y, x), 2.0 * np.pi))
+
+
+def test_ring_r_and_theta_recompute_the_uniform_angles():
+    ring = RingGrid(radius=12e-3, count=90)
+    assert np.array_equal(ring.r, np.full(90, 12e-3))
+    assert np.array_equal(ring.theta, 2.0 * np.pi * np.arange(90) / 90)
+
+
+@pytest.mark.parametrize("grid", [
+    RasterGrid(inner_radius=3.75e-3, outer_radius=15e-3, pixels=96),
+    RingGrid(radius=12e-3, count=90)], ids=["raster", "ring"])
+def test_unit_is_cos_and_sin_of_the_masked_angles(grid):
+    theta = grid.theta[grid.mask]
+    assert grid.unit.dtype == np.complex128
+    assert np.array_equal(grid.unit.real, np.cos(theta))
+    assert np.array_equal(grid.unit.imag, np.sin(theta))
+
+
+def test_raster_stores_less_than_full_r_and_theta():
+    grid = RasterGrid(inner_radius=3.75e-3, outer_radius=15e-3, pixels=128)
+    # the masked unit phasors take the place of the two full float rasters
+    assert grid.unit.nbytes < grid.r.nbytes + grid.theta.nbytes
+
+
 def test_ring_distinct_radii():
     ring = RingGrid(radius=12e-3, count=90)
     assert np.array_equal(ring.radii, [12e-3])

@@ -260,3 +260,11 @@ def test_phase_map_validation():
     ring = RingGrid(radius=12e-3, count=16)
     with pytest.raises(DomainError):
         PhaseMap(ring, np.full(16, 4.0), 0.0, 60.0)
+
+
+@pytest.mark.parametrize("block", [1000, 10 ** 6])
+def test_j0_table_in_blocks_equals_one_built_in_one_shot(monkeypatch, block):
+    table = holography._j0_table()
+    # 10**6 nodes exceed the table: one block, the whole (nodes, 32) array
+    monkeypatch.setattr(holography, "_J0_BLOCK", block)
+    assert np.array_equal(holography._j0_table.__wrapped__(), table)

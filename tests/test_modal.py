@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from oracle_fd import oracle_frequency
 from statorlab.errors import DiscretizationError, DomainError, NumericalError
+from statorlab import modal
 from statorlab.geometry import Material, homogenize
+from statorlab.grids import RasterGrid
 from statorlab.modal import (EIG_RESIDUAL_TOL, Discretization, ModalBasis,
                              Mode, assemble, calibrate, eig_residual,
                              format_radial_profiles, harmonic_weight,
@@ -106,6 +110,59 @@ def test_radial_moment_matches_dense_quadrature(basis):
     r = np.linspace(mode.radial_nodes[0], mode.radial_nodes[-1], 20001)
     dense = np.trapezoid(mode.radial(r) * r, r)
     assert mode.radial_moment() == pytest.approx(dense, rel=1e-8)
+
+
+def _moment(mode):
+    """Int W(r) r dr by the per-element Gauss rule, evaluated afresh."""
+    h = np.diff(mode.radial_nodes)[:, None]
+    r = mode.radial_nodes[:-1, None] + 0.5 * (modal._MOMENT_XI + 1.0) * h
+    return float(np.sum(0.5 * modal._MOMENT_W * h * mode.radial(r) * r))
+
+
+def test_radial_moment_is_evaluated_once_per_mode(basis, monkeypatch):
+    mode = dataclasses.replace(basis.select(3, "cos")[0])   # nothing cached
+    calls = []
+    shapes = modal.radial_shapes
+    monkeypatch.setattr(modal, "radial_shapes",
+                        lambda *args: calls.append(args) or shapes(*args))
+    first = mode.radial_moment()
+    assert mode.radial_moment() == first
+    assert len(calls) == 1
+    # a defect partner is a new mode and evaluates its own moment
+    partner = basis.with_pair_defect(3, frequency_split=1e-3).select(3, "sin")[0]
+    assert partner.radial_moment() == _moment(partner)
+    assert len(calls) == 3
+
+
+def _unit_modes(n):
+    common = dict(n=n, frequency=1.0, radial_nodes=np.array([0.0, 1.0]),
+                  radial_values=np.zeros(2), radial_slopes=np.zeros(2))
+    return Mode(orientation="cos", **common), Mode(orientation="sin", **common)
+
+
+@pytest.mark.parametrize("pixels", [128, 384, 2048])
+def test_powered_phasors_match_libm_trig(pixels):
+    grid = RasterGrid(inner_radius=3.75e-3, outer_radius=15e-3, pixels=pixels)
+    theta = grid.theta[grid.mask]
+    worst = 0.0
+    for n in range(14):
+        rows = np.ones((2, theta.size))
+        modal.angular_patterns(_unit_modes(n), grid.unit, rows)
+        # n theta rounds by up to 7e-15 at n = 13: libm's error, not the powering's
+        worst = max(worst, np.max(np.abs(rows[0] - np.cos(n * theta))),
+                    np.max(np.abs(rows[1] - np.sin(n * theta))))
+    assert worst <= 1e-14
+
+
+def test_angular_is_one_path_for_scalars_points_and_blocks(basis):
+    theta = np.random.default_rng(3).uniform(0.0, 2 * np.pi,
+                                             modal._ANGULAR_BLOCK + 3)
+    for mode in (basis.select(7, "sin")[0],
+                 basis.with_pair_defect(5, shape_leak=0.1).select(5, "cos")[0]):
+        whole = mode.angular(theta)
+        assert np.array_equal(whole[-3:], mode.angular(theta[-3:]))
+        assert np.array_equal(whole[-3:], [mode.angular(t) for t in theta[-3:]])
+        assert np.isscalar(mode.angular(float(theta[0])))
 
 
 def test_mode_shape_eval_bounds(basis):
