@@ -208,6 +208,8 @@ def cmd_fringes(plan) -> int:
         name = f"timeavg_md{n}.pgm"
         ioutil.write_pgm(_outpath(plan, name), img.intensity, grid.mask)
         written.append(name)
+        # the next harmonic's render must not run with these two rasters live
+        del env, img
 
     stem = f"strobe_md{drive.electrode_harmonic}_{0:g}d_{offset:g}d"
     ioutil.write_pgm(_outpath(plan, stem + ".pgm"),

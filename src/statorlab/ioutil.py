@@ -61,9 +61,12 @@ def format_cells(column) -> list:
     """The text cells of one column: strings as they are, numbers (numpy
     arrays and scalars included) as the repr of the Python number that
     ``.tolist()`` or ``.item()`` gives, so a numpy float loses its
-    ``np.float64(...)`` wrapper on the way."""
+    ``np.float64(...)`` wrapper on the way.  A list of strings is returned
+    itself, not walked again."""
     if isinstance(column, np.ndarray):
         values = column.tolist()
+    elif isinstance(column, list) and column and isinstance(column[0], str):
+        return column
     else:
         # item by item: np.asarray would turn ints past int64 into floats
         values = [v.item() if isinstance(v, np.generic) else v for v in column]

@@ -34,10 +34,18 @@ as the solver gave it, without a correction solve.
 
 ``solve_modes`` assembles every harmonic in one pass of
 ``_harmonic_matrices``: what does not depend on ``n`` (mesh, Hermite values
-at the Gauss points, the stiffness weight, the mass blocks, which change
-with ``n`` only by ``c_n``) is formed once, and each harmonic forms only
-its curvature terms and stiffness blocks.  The element integrals use a
-fixed 6-point Gauss rule, the order the eigen gate was measured at.
+at the Gauss points, the stiffness weight, the twist product, the mass
+blocks) is formed once.  The curvature terms and Gauss-summed stiffness
+blocks of all requested harmonics are formed together on a leading
+harmonic axis, ``_HARMONIC_BLOCK`` harmonics at a time, with the operands
+and summation order of a one-harmonic loop, so every entry has the bits a
+per-harmonic assembly gives.  The mass matrix changes with ``n`` only by
+``c_n``, so it is scattered once per weight and shared by every harmonic
+of that weight.  Each harmonic's eigen solve starts from the same
+fixed-seed Gaussian block, drawn once per shape (``_start_block``); only
+the linear algebra runs per harmonic.  The element integrals use a fixed
+6-point Gauss rule, the order the eigen gate was measured at, stored as
+float literals.
 
 A mode's angular pattern cos(n theta) or sin(n theta) is the real or
 imaginary part of e^{i n theta}, which ``angular_patterns`` forms from
@@ -61,18 +69,24 @@ import numpy as np
 
 from .errors import DiscretizationError, DomainError, NumericalError
 from .geometry import EffectivePlate, Material
+from .ioutil import format_cells
 
 EIG_RESIDUAL_TOL = 1e-8
 # K and M couple DOFs at most 3 apart: an element's 4 DOFs (W, W' at both
 # ends) span offsets 0..3, and neighbouring elements share 2 of them
 _HALF_BANDWIDTH = 3
-# 3-point Gauss-Legendre rule on [-1, 1]: exact for Mode.radial_moment's
-# degree-4 integrand
-_MOMENT_XI, _MOMENT_W = np.polynomial.legendre.leggauss(3)
-# 6-point Gauss-Legendre rule mapped to [0, 1] for the element integrals;
-# the eigen gate's refusal set was measured at this order
-_QUAD_XI, _QUAD_W = np.polynomial.legendre.leggauss(6)
-_QUAD_XI, _QUAD_W = 0.5 * (_QUAD_XI + 1.0), 0.5 * _QUAD_W
+# Gauss-Legendre rules on [-1, 1] as float literals, the bits numpy's
+# leggauss(3) and leggauss(6) give, so no numpy.polynomial import is needed.
+# The 3-point rule is exact for Mode.radial_moment's degree-4 integrand.
+_MOMENT_XI = np.array([-0.7745966692414834, 0.0, 0.7745966692414834])
+_MOMENT_W = np.array([0.5555555555555557, 0.8888888888888888, 0.5555555555555557])
+# The 6-point rule, mapped to [0, 1], is the one for the element integrals;
+# the eigen gate's refusal set was measured at this order.
+_GAUSS6_XI = np.array([-0.9324695142031519, -0.6612093864662645, -0.2386191860831969,
+                       0.2386191860831969, 0.6612093864662645, 0.9324695142031519])
+_GAUSS6_W = np.array([0.17132449237917027, 0.3607615730481387, 0.46791393457269104,
+                      0.46791393457269104, 0.3607615730481387, 0.17132449237917027])
+_QUAD_XI, _QUAD_W = 0.5 * (_GAUSS6_XI + 1.0), 0.5 * _GAUSS6_W
 # Subspace iteration keeps k + 2 columns for k wanted pairs.  A pass shrinks
 # the error of pair j by lam_j / lam_(k+3); over the 81 modal_sweep designs
 # at 32-128 nodes and n = 0..7 that ratio is at worst 0.031 for k = 1 and
@@ -85,6 +99,9 @@ _BOUNDARY = "clamped-at-fixture/free-at-edges"
 # samples per block of the angular patterns: their two-row complex scratch
 # is 512 kB
 _ANGULAR_BLOCK = 2 ** 14
+# harmonics per stacked pass of _harmonic_matrices: at 128 nodes one
+# (harmonic, 4, 4, element, Gauss point) array of a block is 0.8 MB
+_HARMONIC_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -180,11 +197,15 @@ def _scatter(blocks: np.ndarray, dofs: np.ndarray) -> np.ndarray:
 def _harmonic_matrices(plate: EffectivePlate, disc: Discretization, harmonics):
     """Yield (K, M, nodes) of each harmonic in ``harmonics``, clamp not applied.
 
-    The terms that do not depend on n are formed once; each harmonic forms
-    only its curvature terms and stiffness blocks.  Every element is
-    evaluated at once and the Gauss points are summed one at a time in
-    ascending order, so each entry sees the same rounding as an
-    element-by-element loop.
+    The terms that do not depend on n are formed once.  The curvature terms
+    and stiffness blocks of up to ``_HARMONIC_BLOCK`` harmonics are formed
+    in one pass on a leading harmonic axis, with the operands of a
+    one-harmonic loop in the same order.  Every element is evaluated at
+    once and the Gauss points are summed one at a time in ascending order,
+    so each entry sees the same rounding as an element-by-element loop.
+    The mass matrix is scattered once per harmonic weight, and every
+    harmonic of that weight is given the same array: it must not be
+    written to.
     """
     nodes = _active_mesh(plate, disc)
     h = np.diff(nodes)[:, None]        # (element, 1)
@@ -196,6 +217,7 @@ def _harmonic_matrices(plate: EffectivePlate, disc: Discretization, harmonics):
     dN_r = dN / r
     d2N_dN_r = d2N + dN_r
     twist = dN_r - N / r2
+    twist2 = twist[:, None] * twist
     # each element lies inside one region, so D and mu at its Gauss points
     # are the element's constants
     stiff_weight = (_QUAD_W * h * r) * plate.D(r)
@@ -204,17 +226,29 @@ def _harmonic_matrices(plate: EffectivePlate, disc: Discretization, harmonics):
     Me = sum(mass[..., q] for q in range(_QUAD_XI.size))
     dofs = np.arange(4)[:, None] + 2 * np.arange(nodes.size - 1)   # (4, element)
     nu = plate.poisson_ratio
-    for n in harmonics:
-        cn = harmonic_weight(n)
+    masses = {}                        # harmonic weight -> scattered M
+    harmonics = tuple(harmonics)
+    for start in range(0, len(harmonics), _HARMONIC_BLOCK):
+        block = harmonics[start:start + _HARMONIC_BLOCK]
+        # n on a leading axis gives the curvature terms a harmonic axis;
+        # the stiffness blocks are (harmonic, shape function, shape
+        # function, element, Gauss point)
+        n = np.array(block)[:, None, None, None]
         n2N_r2 = (n * n) * N / r2
         lap = d2N_dN_r - n2N_r2
         curv_t = dN_r - n2N_r2
+        n = n[..., None]               # against the outer products
         stiff = stiff_weight * (
-            lap[:, None] * lap
-            - (1.0 - nu) * (d2N[:, None] * curv_t + curv_t[:, None] * d2N)
-            + 2.0 * (1.0 - nu) * n * n * (twist[:, None] * twist))
-        Ke = sum(stiff[..., q] for q in range(_QUAD_XI.size))
-        yield _scatter(cn * Ke, dofs), _scatter(cn * Me, dofs), nodes
+            lap[:, :, None] * lap[:, None]
+            - (1.0 - nu) * (d2N[:, None] * curv_t[:, None]
+                            + curv_t[:, :, None] * d2N)
+            + 2.0 * (1.0 - nu) * n * n * twist2)
+        cn = np.array([harmonic_weight(k) for k in block])
+        Ke = cn[:, None, None, None] * sum(stiff[..., q] for q in range(_QUAD_XI.size))
+        for cn_k, Ke_k in zip(cn.tolist(), Ke):
+            if cn_k not in masses:
+                masses[cn_k] = _scatter(cn_k * Me, dofs)
+            yield _scatter(Ke_k, dofs), masses[cn_k], nodes
 
 
 def _assemble_full(plate: EffectivePlate, n: int, disc: Discretization):
@@ -552,6 +586,16 @@ def eig_residual(K: np.ndarray, M: np.ndarray, lam: float, w: np.ndarray) -> flo
     return _extended_residual(_band(K, full), _band(M, full), lam, w)[0]
 
 
+# bounded, so a sweep over many meshes does not keep every shape's block
+@functools.lru_cache(maxsize=32)
+def _start_block(rows: int, cols: int) -> np.ndarray:
+    """``default_rng(0).standard_normal((rows, cols))``, read-only: the
+    fixed-seed start of ``_lowest_eigenpairs``, drawn once per shape."""
+    Y = np.random.default_rng(0).standard_normal((rows, cols))
+    Y.setflags(write=False)            # shared by every solve of this shape
+    return Y
+
+
 def _lowest_eigenpairs(A: np.ndarray, B: np.ndarray, k: int):
     """The ``k`` lowest eigenpairs of the symmetric definite pencil (A, B).
 
@@ -566,7 +610,7 @@ def _lowest_eigenpairs(A: np.ndarray, B: np.ndarray, k: int):
     """
     p = min(k + _SUBSPACE_EXTRA, A.shape[0])
     A_inv = np.linalg.inv(A)
-    Y = np.random.default_rng(0).standard_normal((A.shape[0], p))
+    Y = _start_block(A.shape[0], p)
     for _ in range(_SUBSPACE_PASSES):
         X = np.linalg.qr(Y)[0]
         BX = B @ X
@@ -717,7 +761,8 @@ def format_radial_profiles(basis: ModalBasis) -> str:
     """Structured text dump of the radial profiles (binary-free).
 
     Each mesh's radii are formatted once and each distinct profile on it
-    once, so a cos/sin pair shares one block of ``r W dW/dr`` lines.
+    once, so a cos/sin pair shares one block of ``r W dW/dr`` lines; each
+    column is formatted in one pass by ``ioutil.format_cells``.
     """
     lines = [f"# statorlab radial profiles, provenance {basis.provenance}",
              f"# modes {len(basis)}  radial_nodes {basis.discretization.radial_nodes}"]
@@ -725,12 +770,12 @@ def format_radial_profiles(basis: ModalBasis) -> str:
     for m in basis:
         mesh = m.radial_nodes.tobytes()
         if mesh not in radii:
-            radii[mesh] = [repr(r) for r in m.radial_nodes.tolist()]
+            radii[mesh] = format_cells(m.radial_nodes)
         key = (mesh, m.radial_values.tobytes(), m.radial_slopes.tobytes())
         if key not in blocks:
-            blocks[key] = "\n".join(
-                f"{r} {v!r} {s!r}" for r, v, s in zip(
-                    radii[mesh], m.radial_values.tolist(), m.radial_slopes.tolist()))
+            blocks[key] = "\n".join(map(" ".join, zip(
+                radii[mesh], format_cells(m.radial_values),
+                format_cells(m.radial_slopes))))
         lines.append(f"mode n={m.n} orientation={m.orientation} family={m.family} "
                      f"frequency_hz={m.frequency!r} boundary={_BOUNDARY}")
         lines.append("r_m W dW_dr")

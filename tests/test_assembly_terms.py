@@ -1,9 +1,11 @@
 """The harmonic-independent assembly terms are built once and shared.
 
 ``solve_modes`` assembles every harmonic in one ``modal._harmonic_matrices``
-pass, which forms the terms that do not depend on n once.  Each harmonic of
-that pass must give the matrices a fresh ``_assemble_full`` gives bit for
-bit (signed zeros included), and the two-write scatter must place the
+pass, which forms the terms that do not depend on n once and the stiffness
+blocks of a block of harmonics on a leading harmonic axis.  Each harmonic
+of that pass must give the matrices a fresh ``_assemble_full`` gives, and
+the matrices of the one-harmonic loop it replaced (``_loop_matrices``), bit
+for bit (signed zeros included); the two-write scatter must place the
 element blocks exactly as ``np.add.at`` did.
 """
 
@@ -14,8 +16,9 @@ import pytest
 
 from statorlab import modal
 from statorlab.geometry import homogenize
-from statorlab.modal import (Discretization, _assemble_full, _harmonic_matrices,
-                             _scatter, solve_modes)
+from statorlab.modal import (_QUAD_W, _QUAD_XI, Discretization, _active_mesh,
+                             _assemble_full, _harmonic_matrices, _hermite,
+                             _scatter, harmonic_weight, solve_modes)
 
 
 def _bits(a):
@@ -35,6 +38,67 @@ def _scatter_add_at(blocks, dofs):
     return A
 
 
+def _loop_matrices(plate, disc, harmonics):
+    """(K, M, nodes) per harmonic from the one-harmonic-at-a-time loop that
+    ``_harmonic_matrices`` ran before it stacked the harmonics; the loop
+    body is kept as it was."""
+    nodes = _active_mesh(plate, disc)
+    h = np.diff(nodes)[:, None]
+    r = nodes[:-1, None] + _QUAD_XI * h
+    N, dN, d2N = _hermite(np.broadcast_to(_QUAD_XI, r.shape), h)
+    r2 = np.float_power(r, 2)
+    dN_r = dN / r
+    d2N_dN_r = d2N + dN_r
+    twist = dN_r - N / r2
+    stiff_weight = (_QUAD_W * h * r) * plate.D(r)
+    mass = (_QUAD_W * h * r * plate.mu(r)) * (N[:, None] * N)
+    Me = sum(mass[..., q] for q in range(_QUAD_XI.size))
+    dofs = _dofs(nodes.size - 1)
+    nu = plate.poisson_ratio
+    for n in harmonics:
+        cn = harmonic_weight(n)
+        n2N_r2 = (n * n) * N / r2
+        lap = d2N_dN_r - n2N_r2
+        curv_t = dN_r - n2N_r2
+        stiff = stiff_weight * (
+            lap[:, None] * lap
+            - (1.0 - nu) * (d2N[:, None] * curv_t + curv_t[:, None] * d2N)
+            + 2.0 * (1.0 - nu) * n * n * (twist[:, None] * twist))
+        Ke = sum(stiff[..., q] for q in range(_QUAD_XI.size))
+        yield _scatter(cn * Ke, dofs), _scatter(cn * Me, dofs), nodes
+
+
+def _assert_loop_bits(plate, disc, harmonics):
+    stacked = _harmonic_matrices(plate, disc, harmonics)
+    loop = _loop_matrices(plate, disc, harmonics)
+    for n, (K, M, nodes), (K_ref, M_ref, nodes_ref) in zip(harmonics, stacked, loop):
+        assert np.array_equal(_bits(nodes), _bits(nodes_ref))
+        assert np.array_equal(_bits(K), _bits(K_ref)), f"K differs at n={n}"
+        assert np.array_equal(_bits(M), _bits(M_ref)), f"M differs at n={n}"
+    assert next(stacked, None) is None
+
+
+@pytest.mark.parametrize("block", [1, 3, None])
+def test_harmonics_past_one_block_bit_identical_to_the_loop(geometry, material,
+                                                            monkeypatch, block):
+    # an un-notched plate accepts any n_max: n = 0..40 spans several blocks,
+    # at the module's block size and at two others
+    if block is not None:
+        monkeypatch.setattr(modal, "_HARMONIC_BLOCK", block)
+    plate = homogenize(dataclasses.replace(geometry, notch_count=0), material)
+    harmonics = range(41)
+    assert len(harmonics) > modal._HARMONIC_BLOCK
+    _assert_loop_bits(plate, Discretization(radial_nodes=16), harmonics)
+
+
+def test_mass_matrix_scattered_once_per_weight(plate):
+    masses = [M for _, M, _ in _harmonic_matrices(plate, Discretization(), range(20))]
+    # 2 pi for n = 0, pi for every n >= 1: one array each, shared
+    assert all(M is masses[1] for M in masses[1:])
+    assert masses[0] is not masses[1]
+    assert np.array_equal(masses[0], 2.0 * masses[1])
+
+
 @pytest.mark.parametrize("radial_nodes", [32, 64, 80, 128])
 @pytest.mark.parametrize("fixture_radius", [None, 5e-3, 7e-3])
 def test_shared_terms_bit_identical_to_fresh_assembly(plate, geometry, material,
@@ -50,6 +114,7 @@ def test_shared_terms_bit_identical_to_fresh_assembly(plate, geometry, material,
         assert np.array_equal(_bits(K), _bits(K_ref)), f"K differs at n={n}"
         assert np.array_equal(_bits(M), _bits(M_ref)), f"M differs at n={n}"
     assert next(one_pass, None) is None
+    _assert_loop_bits(plate, disc, range(8))
 
 
 @pytest.mark.parametrize("radial_nodes", [8, 9, 64, 129])

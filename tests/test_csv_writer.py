@@ -127,3 +127,12 @@ def test_columns_of_unequal_length_are_refused(tmp_path):
     with pytest.raises(ValueError):
         ioutil.write_csv(tmp_path / "t.csv", ("a", "b"), ([1.0, 2.0], [3.0]))
     assert not (tmp_path / "t.csv").exists()
+
+
+def test_a_list_of_strings_is_passed_through(tmp_path):
+    # as cmd_respond hands write_csv the time column: formatted once, repeated
+    times = ioutil.format_cells(np.array(EDGE)) * 3
+    assert ioutil.format_cells(times) is times
+    ioutil.write_csv(tmp_path / "t.csv", ("time_s",), (times,))
+    assert (tmp_path / "t.csv").read_bytes() == (
+        "\r\n".join(["time_s", *times]) + "\r\n").encode()

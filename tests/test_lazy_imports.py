@@ -123,3 +123,26 @@ except AttributeError as exc:
 def test_unknown_attribute_raises_attribute_error():
     message, present = _fresh(UNKNOWN)
     assert "no_such_name" in message and present is False
+
+
+# imports the CLI, then runs the five stages into argv[1], and prints, as
+# JSON, the numpy.polynomial modules loaded after each step
+POLYNOMIAL = """
+import contextlib, io, json, sys
+from statorlab.cli import main
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("numpy.polynomial"))
+out = {"import": loaded()}
+for stage in ("modes", "respond", "fringes", "fit", "report"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([stage, "--out", sys.argv[1], *sys.argv[2:]]) == 0, stage
+    out[stage] = loaded()
+print(json.dumps(out))
+"""
+
+
+def test_cli_and_stages_load_no_numpy_polynomial(tmp_path):
+    # the Gauss rules are literals: nothing needs numpy.polynomial
+    loaded = _fresh(POLYNOMIAL, str(tmp_path), *LIGHT)
+    assert loaded == {key: [] for key in
+                      ("import", "modes", "respond", "fringes", "fit", "report")}

@@ -11,7 +11,7 @@ from scipy.linalg import eigh
 
 from statorlab.modal import (Discretization, _assemble_full,
                              _lowest_eigenpairs, _polish_eigenpair,
-                             solve_modes)
+                             _start_block, solve_modes)
 
 
 def _reference_frequencies(plate, disc, modes_per_n):
@@ -76,3 +76,14 @@ def test_random_pencil_lowest_eigenvalues(seed, k):
     assert np.allclose(vecs.T @ B @ vecs, np.eye(k), rtol=0, atol=1e-12)
     resid = A @ vecs - B @ vecs * vals
     assert np.max(np.abs(resid)) <= 1e-10 * np.abs(A).max()
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (60, 3), (60, 4), (254, 4)])
+def test_start_block_is_the_fixed_seed_draw_read_only(shape):
+    Y = _start_block(*shape)
+    assert np.array_equal(Y, np.random.default_rng(0).standard_normal(shape))
+    assert not Y.flags.writeable
+    with pytest.raises(ValueError):
+        Y[0, 0] = 1.0
+    # drawn once per shape, then shared
+    assert _start_block(*shape) is Y

@@ -251,6 +251,47 @@ def test_basis_frequency_and_profiles_deterministic(basis):
     assert basis.provenance in format_radial_profiles(basis)
 
 
+def _f_string_profiles(basis):
+    """``format_radial_profiles`` as it was, with one f-string per node."""
+    lines = [f"# statorlab radial profiles, provenance {basis.provenance}",
+             f"# modes {len(basis)}  radial_nodes {basis.discretization.radial_nodes}"]
+    for m in basis:
+        lines.append(f"mode n={m.n} orientation={m.orientation} family={m.family} "
+                     f"frequency_hz={m.frequency!r} boundary=clamped-at-fixture/free-at-edges")
+        lines.append("r_m W dW_dr")
+        lines.append("\n".join(
+            f"{r!r} {v!r} {s!r}" for r, v, s in zip(
+                m.radial_nodes.tolist(), m.radial_values.tolist(),
+                m.radial_slopes.tolist())))
+        lines.append("")
+    return "\n".join(lines) + "\n"
+
+
+def test_profiles_text_equals_one_f_string_per_node(calibrated_plate):
+    # two families per harmonic, and a defect pair whose sine partner has
+    # its own frequency (and a leak that leaves the profiles alone)
+    basis = solve_modes(calibrated_plate, n_max=5, n_min=0, modes_per_n=2)
+    for b in (basis, basis.with_pair_defect(3, frequency_split=0.01, shape_leak=0.05)):
+        assert format_radial_profiles(b) == _f_string_profiles(b)
+
+
+@pytest.mark.parametrize("points", [3, 6])
+def test_gauss_literals_are_numpys_leggauss(points):
+    raw = {3: (modal._MOMENT_XI, modal._MOMENT_W),
+           6: (modal._GAUSS6_XI, modal._GAUSS6_W)}[points]
+    for name, got, want in zip(("nodes", "weights"), raw,
+                               np.polynomial.legendre.leggauss(points)):
+        if np.array_equal(got.view(np.uint64), want.view(np.uint64)):
+            continue
+        # another numpy may round the rule differently: at most 1 ulp
+        ulps = np.abs(got - want) / np.spacing(np.abs(want))
+        assert ulps.max() <= 1.0, (
+            f"leggauss({points}) {name} differ from the literals by "
+            f"{ulps.max():g} ulp: {want.tolist()} vs {got.tolist()}")
+    assert np.array_equal(modal._QUAD_XI, 0.5 * (modal._GAUSS6_XI + 1.0))
+    assert modal.Discretization.quadrature_order == 6
+
+
 def test_mode_rejects_bad_orientation(basis):
     good = basis.select(1, "cos")[0]
     with pytest.raises(DomainError):
