@@ -24,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (STROBE_STEP_LIMIT_DEG, DomainError, NoModeError,
-                     SamplingError, UndefinedIndexError)
+from .errors import (RING_SAMPLES_PER_HARMONIC, STROBE_STEP_LIMIT_DEG,
+                     DomainError, NoModeError, SamplingError,
+                     UndefinedIndexError)
 from .grids import DisplacementField, circle_values
 
 AMPLITUDE_FLOOR = 1e-15     # m; below this a fitted sinusoid has no phase
@@ -83,17 +84,17 @@ class CircleSample:
 def detect_mode_number(sample: CircleSample) -> int:
     """Dominant circumferential harmonic of the centered sample.
 
-    Candidates run up to count/8 (eight samples per lobe pair keeps the
-    projection honest); exact ties resolve to the lower harmonic because
-    the scan ascends.  Over the whole uniform circle the projection onto
-    e^{-i k theta} is the DFT bin k up to a unit phase factor, so one
-    ``rfft`` gives every candidate's magnitude.
+    Candidates run up to count // ``RING_SAMPLES_PER_HARMONIC`` (eight
+    samples per lobe pair keeps the projection honest); exact ties resolve
+    to the lower harmonic because the scan ascends.  Over the whole uniform
+    circle the projection onto e^{-i k theta} is the DFT bin k up to a unit
+    phase factor, so one ``rfft`` gives every candidate's magnitude.
     """
-    n_max = sample.count // 8
+    n_max = sample.count // RING_SAMPLES_PER_HARMONIC
     if n_max < 1:
         raise SamplingError(
             f"{sample.count} samples cannot resolve any harmonic "
-            "(need at least 8)")
+            f"(need at least {RING_SAMPLES_PER_HARMONIC})")
     centered = sample.values - sample.values.mean()
     rms = float(np.sqrt(np.mean(centered ** 2)))
     if rms < 1e-300:

@@ -21,9 +21,9 @@ import sys
 
 from .errors import (ELECTRODE_MIN_HARMONIC, J0_FIRST_ZERO, PHASE_LAYOUTS,
                      RASTER_MIN_MARGIN, RASTER_MIN_PIXELS, RING_MIN_COUNT,
-                     STROBE_DUTY_LIMIT, STROBE_SPAN_LIMIT_DEG,
-                     STROBE_STEP_LIMIT_DEG, ConfigError, DiscretizationError,
-                     GeometryError)
+                     RING_SAMPLES_PER_HARMONIC, STROBE_DUTY_LIMIT,
+                     STROBE_SPAN_LIMIT_DEG, STROBE_STEP_LIMIT_DEG, ConfigError,
+                     DiscretizationError, GeometryError)
 from .geometry import Material, StatorGeometry
 from .modal import Discretization
 
@@ -277,7 +277,8 @@ def _check(values, keys: dict, section: str = "") -> dict:
 
 
 def _check_harmonics(plan: dict):
-    """n_min..n_max, against the notches, and the driven harmonic in it."""
+    """n_min..n_max, against the notches, and the driven harmonic in it
+    and resolvable on the fit's ring."""
     n_min, n_max = plan["modal"]["n_min"], plan["modal"]["n_max"]
     if n_max < n_min:
         raise ConfigError(
@@ -297,6 +298,13 @@ def _check_harmonics(plan: dict):
         raise ConfigError(
             f"drive.electrode_harmonic {n_d} lies outside the solved harmonics "
             f"modal.n_min..n_max = {n_min}..{n_max}")
+    count = plan["analysis"]["circle_count"]
+    if count < RING_SAMPLES_PER_HARMONIC * n_d:
+        raise ConfigError(
+            f"analysis.circle_count {count} is too coarse for "
+            f"drive.electrode_harmonic {n_d}: detecting harmonic n needs at "
+            f"least {RING_SAMPLES_PER_HARMONIC} * n = "
+            f"{RING_SAMPLES_PER_HARMONIC * n_d} samples on the ring")
 
 
 def _check_optics(plan: dict):

@@ -46,7 +46,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (ELECTRODE_MIN_HARMONIC, PHASE_LAYOUTS, STROBE_DUTY_LIMIT,
-                     DomainError, NumericalError, TimeStepError)
+                     STROBE_SPAN_LIMIT_DEG, DomainError, NumericalError,
+                     TimeStepError)
 from .grids import DisplacementField
 from .modal import (ModalBasis, Mode, angular_patterns, radial_shapes,
                     unit_phasors)
@@ -156,15 +157,6 @@ class ModalTrajectory:
     # reused.  Never copied by dataclasses.replace
     _shape_tables: dict = field(default_factory=dict, init=False, repr=False,
                                 compare=False)
-
-    def velocity(self, k: int | None = None) -> np.ndarray:
-        """Exact modal velocity history."""
-        w = self.drive.omega
-        E = np.exp(1.0j * w * self.times)
-        steady = self.steady[:, None] * E[None, :]
-        s = (-self.alpha + 1.0j * self.wd)[:, None]
-        v = (1.0j * w * steady + s * (self.q - steady)).real
-        return v if k is None else v[k]
 
     def state_at(self, t: float) -> np.ndarray:
         """Complex modal state at an arbitrary time inside the span (exact)."""
@@ -420,17 +412,18 @@ def snapshot_at_strobe(basis: ModalBasis, trajectory: ModalTrajectory,
                        ) -> DisplacementField:
     """Displacement snapshot at a strobe phase of the drive cycle.
 
-    The strobe fires ``strobe_deg`` electrical degrees into the last
-    complete cycle before the trajectory end (steady state by then for
-    any sensible run length).  ``duty`` > 0 averages 8 evenly spaced
-    instants across the open window, modeling a finite strobe exposure;
-    the default is the instantaneous (duty -> 0) model.
+    The strobe fires ``strobe_deg`` electrical degrees into the last two
+    drive cycles before the trajectory end, ``STROBE_SPAN_LIMIT_DEG`` wide
+    (steady state by then for any sensible run length).  ``duty`` > 0
+    averages 8 evenly spaced instants across the open window, modeling a
+    finite strobe exposure; the default is the instantaneous (duty -> 0)
+    model.
     """
     if not 0.0 <= duty <= STROBE_DUTY_LIMIT:
         raise DomainError(
             f"strobe duty must be in [0, {STROBE_DUTY_LIMIT:g}], got {duty}")
     T = trajectory.drive.period
-    t0 = trajectory.times[-1] - 2.0 * T
+    t0 = trajectory.times[-1] - (STROBE_SPAN_LIMIT_DEG / 360.0) * T
     if t0 < trajectory.times[0]:
         raise DomainError("trajectory shorter than two drive cycles")
     t = t0 + (strobe_deg / 360.0) * T

@@ -15,6 +15,9 @@ STROBE_DUTY_LIMIT = 0.2
 RASTER_MIN_PIXELS = 16
 RASTER_MIN_MARGIN = 1.0
 RING_MIN_COUNT = 8
+# harmonic detection scans n up to count // this, so a ring resolves
+# harmonic n only with at least this many samples per unit of n
+RING_SAMPLES_PER_HARMONIC = 8
 # the electrode layouts, and the lowest harmonic the electrodes can drive
 PHASE_LAYOUTS = ("quadrature", "single")
 ELECTRODE_MIN_HARMONIC = 1

@@ -349,10 +349,9 @@ def angular_patterns(modes, unit: np.ndarray, rows: np.ndarray):
     block of ``_ANGULAR_BLOCK`` samples, e^{i n theta} is formed by
     ``_power``, once for consecutive modes of the same harmonic (a cos/sin
     pair): cos(n theta) is its real part and sin(n theta) its imaginary
-    part.  An ``angular_leak`` term adds ``weight`` times the foreign
-    harmonic's pattern of the same orientation.  No trig function is
-    called, and every caller shares this one path, so a sample's pattern
-    does not depend on which routine asked for it.
+    part.  No trig function is called, and every caller shares this one
+    path, so a sample's pattern does not depend on which routine asked for
+    it.
     """
     work = np.empty((2, min(unit.size, _ANGULAR_BLOCK)), dtype=complex)
     for start in range(0, unit.size, _ANGULAR_BLOCK):
@@ -360,17 +359,10 @@ def angular_patterns(modes, unit: np.ndarray, rows: np.ndarray):
         block = work[:, :u.size]
         powered = None
         for row, m in zip(rows, modes):
-            side = "real" if m.orientation == "cos" else "imag"
             if m.n != powered:
                 powered, phasor = m.n, _power(u, m.n, block)
-            part = getattr(phasor, side)
-            if m.angular_leak:
-                part = part.copy()
-                for harmonic, weight in m.angular_leak:
-                    part = part + weight * getattr(_power(u, harmonic, block),
-                                                   side)
-                powered = None
-            row[start:start + u.size] *= part
+            row[start:start + u.size] *= (phasor.real if m.orientation == "cos"
+                                          else phasor.imag)
 
 
 @dataclass(frozen=True)
@@ -381,10 +373,8 @@ class Mode:
     ``radial_nodes``/``radial_values``/``radial_slopes`` tabulate W and
     dW/dr on the solver mesh (the plate is motionless for r below the
     fixture radius).  Between nodes W is evaluated with the solver's own
-    Hermite cubics (see ``radial_shapes``).  ``angular_leak`` optionally
-    admixes foreign harmonics ``(m, weight)`` into the angular pattern, the
-    hook used to emulate a manufacturing-defect asymmetry; it is not
-    produced by the solver.
+    Hermite cubics (see ``radial_shapes``).  The angular pattern is exactly
+    that of the harmonic the solver returned (see ``angular_patterns``).
     """
 
     n: int
@@ -394,7 +384,6 @@ class Mode:
     radial_values: np.ndarray      # mass-normalized W at the nodes
     radial_slopes: np.ndarray      # dW/dr at the nodes
     family: int = 0                # radial family index (0 = lowest)
-    angular_leak: tuple = ()
 
     def __post_init__(self):
         if self.orientation not in ("cos", "sin"):
@@ -416,8 +405,8 @@ class Mode:
         return radial_shapes((self,), r)[0]
 
     def angular(self, theta):
-        """cos(n theta) or sin(n theta), plus any ``angular_leak``, formed
-        by ``angular_patterns`` from ``unit_phasors(theta)``."""
+        """cos(n theta) or sin(n theta), formed by ``angular_patterns`` from
+        ``unit_phasors(theta)``."""
         unit = unit_phasors(theta)
         out = np.ones(unit.shape)
         angular_patterns((self,), unit.reshape(-1), out.reshape(1, -1))
@@ -455,6 +444,9 @@ def mode_shape_eval(mode: Mode, r, theta):
 @dataclass(frozen=True)
 class ModalBasis:
     """Ascending-frequency list of modes plus solve metadata.
+
+    ``solve_modes`` returns each harmonic n >= 1 as a cos/sin pair that
+    shares one frequency and one radial profile.
 
     Every damping ratio, the default and each per-harmonic override, lies
     in [0, 1): zero is the undamped limit, one is critical damping.
@@ -511,32 +503,6 @@ class ModalBasis:
     def with_damping(self, zeta: float) -> "ModalBasis":
         """Same modes with a uniform damping ratio (overrides dropped)."""
         return replace(self, default_damping=zeta, damping_overrides=None)
-
-    def with_pair_defect(self, n: int, frequency_split: float = 0.0,
-                         shape_leak: float = 0.0) -> "ModalBasis":
-        """Emulate a manufacturing defect on the degenerate pair of harmonic ``n``.
-
-        The sine partner's frequency is raised by the relative
-        ``frequency_split`` and, when ``shape_leak`` is nonzero, a foreign
-        harmonic ``n + 1`` is admixed into both partners' angular
-        patterns with that weight.  Purely a perturbation proxy; the
-        perturbed shapes are no longer exactly mass-orthonormal.
-        """
-        if not self.select(n):
-            raise DomainError(f"harmonic n={n} not present in basis")
-        new = []
-        for m in self.modes:
-            if m.n == n and m.family == 0:
-                changes = {}
-                if shape_leak:
-                    changes["angular_leak"] = ((n + 1, shape_leak),)
-                if m.orientation == "sin" and frequency_split:
-                    changes["frequency"] = m.frequency * (1.0 + frequency_split)
-                if changes:
-                    m = replace(m, **changes)
-            new.append(m)
-        new.sort(key=lambda md: (md.frequency, md.n, md.orientation))
-        return replace(self, modes=tuple(new), provenance=self.provenance + "+defect")
 
 
 def _band(A: np.ndarray, half_bandwidth: int) -> tuple:
@@ -701,8 +667,10 @@ def solve_modes(plate: EffectivePlate, n_max: int, modes_per_n: int = 1,
             resid, lam, w = _polish_eigenpair(Kc, Mc, lam, w)
             if resid > EIG_RESIDUAL_TOL:
                 raise NumericalError(
-                    f"eigenpair residual {resid:.3e} above tolerance (the float64 "
-                    f"storage floor rises with mesh density; try fewer radial nodes)",
+                    f"eigenpair residual {resid:.3e} above tolerance (the "
+                    "float64 storage floor rises with the harmonic and with "
+                    "mesh density: lower modal.n_max below this harmonic, or "
+                    "try another modal.radial_nodes)",
                     harmonic=n, radial_nodes=disc.radial_nodes)
             # fix the sign convention: the outer rim moves up
             if w[-2] < 0.0:

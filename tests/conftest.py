@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from statorlab.geometry import (EffectivePlate, Material, StatorGeometry,
@@ -64,3 +66,17 @@ def calibrated_plate(plate):
 def basis(calibrated_plate):
     # the flexural ladder every pipeline test drives (lowest family, n 1..7)
     return solve_modes(calibrated_plate, n_max=7, n_min=1)
+
+
+@pytest.fixture(scope="session")
+def split_pair():
+    """``split_pair(basis, n, split)``: ``basis`` with the sine partner of
+    harmonic ``n`` (lowest family) raised by the relative frequency
+    ``split``, a degenerate pair split apart as a manufacturing defect
+    splits it.  The shapes stay as solved."""
+    def split_pair(basis, n, split):
+        return dataclasses.replace(basis, modes=tuple(
+            dataclasses.replace(m, frequency=m.frequency * (1.0 + split))
+            if (m.n, m.orientation, m.family) == (n, "sin", 0) else m
+            for m in basis))
+    return split_pair

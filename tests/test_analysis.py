@@ -9,7 +9,6 @@ from statorlab.analysis import (CircleSample, FitResult, asymmetry_index,
 from statorlab.errors import (DomainError, NoModeError, SamplingError,
                               UndefinedIndexError)
 from statorlab.grids import DisplacementField, RasterGrid, RingGrid
-from statorlab.modal import mode_shape_eval
 
 THETA = np.linspace(0.0, 2.0 * np.pi, 360, endpoint=False)
 
@@ -233,22 +232,3 @@ def test_asymmetry_index_guards():
         asymmetry_index([(0.0, flat), (60.0, flat)])
     with pytest.raises(SamplingError, match="at least 2"):
         asymmetry_index([(0.0, _fit_at(1.0, 0.0))])
-
-
-def test_asymmetry_flags_pair_defect(basis):
-    defective = basis.with_pair_defect(5, shape_leak=0.08)
-    clean_mode = basis.select(5, orientation="cos")[0]
-    bad_mode = defective.select(5, orientation="cos")[0]
-    rim = clean_mode.outer_radius
-
-    def index_for(mode):
-        vals = mode_shape_eval(mode, rim, THETA)
-        fits = [(d, fit_eq1(_sample(vals, radius=rim), 5))
-                for d in (0.0, 90.0)]
-        return asymmetry_index(fits)
-
-    clean = index_for(clean_mode)
-    tainted = index_for(bad_mode)
-    assert clean < 1e-12
-    assert tainted == pytest.approx(0.08 / math.sqrt(2), rel=0.05)
-    assert tainted > 100 * clean

@@ -97,12 +97,13 @@ def _profiles_ref(basis):
 
 
 @pytest.mark.parametrize("nodes", [32, 64])
-def test_profiles_match_a_per_mode_formatter(calibrated_plate, nodes):
+def test_profiles_match_a_per_mode_formatter(calibrated_plate, split_pair,
+                                             nodes):
     disc = Discretization(radial_nodes=nodes)
     # n = 0 modes are single; the n = 2 pair shares its profile but not its
-    # frequency after the defect
+    # frequency once split
     basis = solve_modes(calibrated_plate, n_max=3, modes_per_n=2, disc=disc)
-    basis = basis.with_pair_defect(2, frequency_split=0.01, shape_leak=0.05)
+    basis = split_pair(basis, 2, 0.01)
     # the n = 3 sine partner with its own profile on the shared mesh, and a
     # mode on a second mesh
     modes = [dataclasses.replace(m, radial_values=-m.radial_values,

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -174,6 +175,10 @@ def test_damping_overrides_reach_material():
     ("drive.electrode_harmonic=8", "electrode_harmonic 8 lies outside the "
                                    "solved harmonics modal.n_min..n_max = 1..7"),
     ("modal.n_min=5", "electrode_harmonic 4 lies outside"),
+    # harmonic detection on the fit's ring needs 8 samples per unit of n
+    ("analysis.circle_count=8", "analysis.circle_count 8 is too coarse for "
+                                "drive.electrode_harmonic 4"),
+    ("analysis.circle_count=31", "at least 8 \\* n = 32 samples"),
     # JSON admits NaN, Infinity and integers beyond the float64 range
     ("drive.duration=NaN", "drive.duration: expected a finite number"),
     ("drive.dt=NaN", "drive.dt: expected a finite number"),
@@ -311,6 +316,46 @@ def test_cli_strobe_and_harmonic_failures_leave_no_output(tmp_path, capsys, stag
                "--set", override])
     assert rc == code
     assert fragment in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_ring_too_coarse_for_the_driven_harmonic_is_config_error(
+        tmp_path, capsys):
+    # it used to exit 3 blaming the noise floor, after the basis solve
+    rc = main(["fit", "--out", str(tmp_path / "o"), "--set", "modal.n_max=7",
+               "--set", "drive.electrode_harmonic=7",
+               "--set", "analysis.circle_count=55"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: analysis.circle_count 55 is too "
+                          "coarse for drive.electrode_harmonic 7")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("harmonic", [4, 7])
+def test_cli_fit_detects_the_harmonic_on_the_coarsest_ring(tmp_path, harmonic):
+    out = tmp_path / "o"
+    rc = main(["fit", "--out", str(out), "--set", f"modal.n_max={harmonic}",
+               "--set", f"drive.electrode_harmonic={harmonic}",
+               "--set", "image.pixels=64", "--set", "drive.duration=0.002",
+               "--set", f"analysis.circle_count={8 * harmonic}"])
+    assert rc == 0
+    summary = (out / "fit_summary.txt").read_text().splitlines()
+    assert f"detected harmonic: n={harmonic}" in summary
+
+
+def test_cli_eigen_gate_names_both_levers(tmp_path, capsys):
+    # an un-notched plate admits any n_max; at 32 nodes the float64 floor is
+    # first crossed at n = 111, and 8 nodes fail earlier (n = 97)
+    rc = main(["modes", "--out", str(tmp_path / "o"),
+               "--set", "geometry.notch_count=0", "--set", "modal.n_max=200"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: eigenpair residual ")
+    assert "above tolerance" in err
+    assert "modal.n_max" in err and "modal.radial_nodes" in err
+    assert re.search(r"\(harmonic n=1\d\d, radial_nodes=32\)$", err)
     assert not (tmp_path / "o").exists()
 
 

@@ -119,7 +119,8 @@ def _moment(mode):
     return float(np.sum(0.5 * modal._MOMENT_W * h * mode.radial(r) * r))
 
 
-def test_radial_moment_is_evaluated_once_per_mode(basis, monkeypatch):
+def test_radial_moment_is_evaluated_once_per_mode(basis, split_pair,
+                                                   monkeypatch):
     mode = dataclasses.replace(basis.select(3, "cos")[0])   # nothing cached
     calls = []
     shapes = modal.radial_shapes
@@ -128,8 +129,8 @@ def test_radial_moment_is_evaluated_once_per_mode(basis, monkeypatch):
     first = mode.radial_moment()
     assert mode.radial_moment() == first
     assert len(calls) == 1
-    # a defect partner is a new mode and evaluates its own moment
-    partner = basis.with_pair_defect(3, frequency_split=1e-3).select(3, "sin")[0]
+    # a split partner is a new mode and evaluates its own moment
+    partner = split_pair(basis, 3, 1e-3).select(3, "sin")[0]
     assert partner.radial_moment() == _moment(partner)
     assert len(calls) == 3
 
@@ -157,8 +158,7 @@ def test_powered_phasors_match_libm_trig(pixels):
 def test_angular_is_one_path_for_scalars_points_and_blocks(basis):
     theta = np.random.default_rng(3).uniform(0.0, 2 * np.pi,
                                              modal._ANGULAR_BLOCK + 3)
-    for mode in (basis.select(7, "sin")[0],
-                 basis.with_pair_defect(5, shape_leak=0.1).select(5, "cos")[0]):
+    for mode in (basis.select(7, "sin")[0], basis.select(5, "cos")[0]):
         whole = mode.angular(theta)
         assert np.array_equal(whole[-3:], mode.angular(theta[-3:]))
         assert np.array_equal(whole[-3:], [mode.angular(t) for t in theta[-3:]])
@@ -171,24 +171,6 @@ def test_mode_shape_eval_bounds(basis):
     assert value == pytest.approx(mode.radial(12e-3), rel=1e-12)
     with pytest.raises(DomainError):
         mode_shape_eval(mode, 20e-3, 0.0)
-
-
-def test_angular_leak_admixture(basis):
-    mode = basis.select(4, "cos")[0]
-    theta = np.linspace(0, 2 * np.pi, 16, endpoint=False)
-    leaky = basis.with_pair_defect(4, shape_leak=0.1).select(4, "cos")[0]
-    assert np.allclose(leaky.angular(theta),
-                       np.cos(4 * theta) + 0.1 * np.cos(5 * theta))
-    assert np.allclose(mode.angular(theta), np.cos(4 * theta))
-
-
-def test_pair_defect_frequency_split(basis):
-    split = basis.with_pair_defect(4, frequency_split=1e-3)
-    f_cos = split.select(4, "cos")[0].frequency
-    f_sin = split.select(4, "sin")[0].frequency
-    assert f_sin == pytest.approx(f_cos * 1.001, rel=1e-12)
-    with pytest.raises(DomainError):
-        basis.with_pair_defect(9)
 
 
 def test_with_damping(basis):
@@ -267,11 +249,12 @@ def _f_string_profiles(basis):
     return "\n".join(lines) + "\n"
 
 
-def test_profiles_text_equals_one_f_string_per_node(calibrated_plate):
-    # two families per harmonic, and a defect pair whose sine partner has
-    # its own frequency (and a leak that leaves the profiles alone)
+def test_profiles_text_equals_one_f_string_per_node(calibrated_plate,
+                                                    split_pair):
+    # two families per harmonic, and a split pair whose sine partner has its
+    # own frequency
     basis = solve_modes(calibrated_plate, n_max=5, n_min=0, modes_per_n=2)
-    for b in (basis, basis.with_pair_defect(3, frequency_split=0.01, shape_leak=0.05)):
+    for b in (basis, split_pair(basis, 3, 0.01)):
         assert format_radial_profiles(b) == _f_string_profiles(b)
 
 
