@@ -20,7 +20,7 @@ import math
 import sys
 
 from .errors import (ELECTRODE_MIN_HARMONIC, J0_FIRST_ZERO, PHASE_LAYOUTS,
-                     RASTER_MIN_MARGIN, RASTER_MIN_PIXELS, RING_MIN_COUNT,
+                     RASTER_MIN_MARGIN, RASTER_MIN_PIXELS,
                      RING_SAMPLES_PER_HARMONIC, STROBE_DUTY_LIMIT,
                      STROBE_SPAN_LIMIT_DEG, STROBE_STEP_LIMIT_DEG, ConfigError,
                      DiscretizationError, GeometryError)
@@ -179,7 +179,9 @@ KEYS = {
         "probe_radii": _numbers([10.2e-3, 12.5e-3, 15.0e-3], "radii"),
         "probe_theta": _number(0.0, positive=False),
         "circle_radius": _number(15.0e-3),
-        "circle_count": _integer(360, minimum=RING_MIN_COUNT, maximum=MAX_CIRCLE_COUNT),
+        # no minimum: the ring check against drive.electrode_harmonic in
+        # _check_harmonics refuses every count below 8 with one message
+        "circle_count": _integer(360, maximum=MAX_CIRCLE_COUNT),
         "strobe_offset_deg": _number(60.0),
         "strobe_phases_deg": _numbers([0.0, 30.0, 60.0, 90.0, 120.0, 150.0],
                                       "strobe phases in degrees"),

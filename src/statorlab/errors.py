@@ -11,7 +11,8 @@ STROBE_SPAN_LIMIT_DEG = 720.0
 # the widest strobe window, as a fraction of the drive period
 STROBE_DUTY_LIMIT = 0.2
 # the smallest raster (pixels per side, and the imaged half-width as a
-# multiple of the outer radius) and the fewest samples on a ring
+# multiple of the outer radius) and the fewest samples on a ring; a
+# config's ring meets RING_SAMPLES_PER_HARMONIC * ELECTRODE_MIN_HARMONIC
 RASTER_MIN_PIXELS = 16
 RASTER_MIN_MARGIN = 1.0
 RING_MIN_COUNT = 8

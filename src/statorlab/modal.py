@@ -32,20 +32,32 @@ O(7 ndof) instead of O(ndof^2).  A pair whose first residual is already
 under half the gate, where the polish loop would stop anyway, is returned
 as the solver gave it, without a correction solve.
 
-``solve_modes`` assembles every harmonic in one pass of
+``solve_modes`` works on blocks of harmonics from one pass of
 ``_harmonic_matrices``: what does not depend on ``n`` (mesh, Hermite values
 at the Gauss points, the stiffness weight, the twist product, the mass
-blocks) is formed once.  The curvature terms and Gauss-summed stiffness
-blocks of all requested harmonics are formed together on a leading
-harmonic axis, ``_HARMONIC_BLOCK`` harmonics at a time, with the operands
-and summation order of a one-harmonic loop, so every entry has the bits a
-per-harmonic assembly gives.  The mass matrix changes with ``n`` only by
-``c_n``, so it is scattered once per weight and shared by every harmonic
-of that weight.  Each harmonic's eigen solve starts from the same
-fixed-seed Gaussian block, drawn once per shape (``_start_block``); only
-the linear algebra runs per harmonic.  The element integrals use a fixed
-6-point Gauss rule, the order the eigen gate was measured at, stored as
-float literals.
+blocks) is formed once.  The stiffness matrices of a block are formed on a
+leading harmonic axis, with the operands and summation order of a
+one-harmonic loop, and scattered onto one (harmonic, dof, dof) stack.  The
+mass matrix changes with ``n`` only by ``c_n``, so it is scattered once
+per weight as one 2-D array that broadcasts against the stack; n = 0 has
+its own weight and so its own block.  Each block is equilibrated once and
+solved by one stacked subspace iteration (one ``inv``, one factorization
+of the shared fixed-seed start from ``_start_block``, stacked ``qr`` and
+products, one stacked Cholesky and ``eigh``), and one cast of its band
+diagonals and one pair of band products give every pair's first
+extended residual.  Numpy runs a stacked call as the same LAPACK or BLAS
+call per matrix, so every pair has the bits a harmonic solved alone gets.
+Only pairs at or above half the gate go on to the correction loop, and the
+gate runs pair by pair in ascending (n, family).
+
+A block holds as many harmonics as keep one (harmonic, dof, dof) float64
+stack within ``_STACK_BYTES`` (512 KiB): 7 of n = 1..7 at 32 and 48 nodes,
+4 at 64, 2 at 80 and 1 from 96 nodes up.  The bound is there because a
+solve holds about three such stacks at once (K, the equilibrated K and
+its inverse): stacking every harmonic gained little time, raised the
+peak memory and made the heap map its pages again on every solve at 64
+nodes and more.  The element integrals use a fixed 6-point Gauss rule,
+the order the eigen gate was measured at, stored as float literals.
 
 A mode's angular pattern cos(n theta) or sin(n theta) is the real or
 imaginary part of e^{i n theta}, which ``angular_patterns`` forms from
@@ -63,6 +75,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -99,9 +112,9 @@ _BOUNDARY = "clamped-at-fixture/free-at-edges"
 # samples per block of the angular patterns: their two-row complex scratch
 # is 512 kB
 _ANGULAR_BLOCK = 2 ** 14
-# harmonics per stacked pass of _harmonic_matrices: at 128 nodes one
-# (harmonic, 4, 4, element, Gauss point) array of a block is 0.8 MB
-_HARMONIC_BLOCK = 8
+# the most bytes one (harmonic, dof, dof) float64 stack of a harmonic block
+# may take (see the module docstring for why a block is bounded)
+_STACK_BYTES = 2 ** 19
 
 
 @dataclass(frozen=True)
@@ -178,7 +191,8 @@ def _hermite(xi: np.ndarray, h: np.ndarray | float):
 
 
 def _scatter(blocks: np.ndarray, dofs: np.ndarray) -> np.ndarray:
-    """The global matrix of (4, 4, element) ``blocks`` on (4, element) ``dofs``.
+    """The global matrices of (..., 4, 4, element) ``blocks`` on (4, element)
+    ``dofs``, one per index of the blocks' leading axes.
 
     An element's DOFs are 2e..2e+3: even elements never overlap each
     other, nor do odd ones, so each set is placed by one fancy index.  The
@@ -187,25 +201,27 @@ def _scatter(blocks: np.ndarray, dofs: np.ndarray) -> np.ndarray:
     one an element-by-element loop forms.
     """
     ndof = dofs[-1, -1] + 1
-    A = np.zeros((ndof, ndof))
+    A = np.zeros(blocks.shape[:-3] + (ndof, ndof))
     for part in (slice(0, None, 2), slice(1, None, 2)):
         d = dofs[:, part]
-        A[d[:, None], d] += blocks[..., part]
+        A[..., d[:, None], d] += blocks[..., part]
     return A
 
 
 def _harmonic_matrices(plate: EffectivePlate, disc: Discretization, harmonics):
-    """Yield (K, M, nodes) of each harmonic in ``harmonics``, clamp not applied.
+    """Yield (block, K, M, nodes) per block of ``harmonics``, clamp not applied.
 
-    The terms that do not depend on n are formed once.  The curvature terms
-    and stiffness blocks of up to ``_HARMONIC_BLOCK`` harmonics are formed
-    in one pass on a leading harmonic axis, with the operands of a
-    one-harmonic loop in the same order.  Every element is evaluated at
-    once and the Gauss points are summed one at a time in ascending order,
-    so each entry sees the same rounding as an element-by-element loop.
-    The mass matrix is scattered once per harmonic weight, and every
-    harmonic of that weight is given the same array: it must not be
-    written to.
+    ``block`` is a tuple of consecutive harmonics of one weight ``c_n``, as
+    many as keep their (harmonic, dof, dof) stack of stiffness matrices
+    ``K`` within ``_STACK_BYTES``; n = 0 is a block of its own.  The terms
+    that do not depend on n are formed once; the curvature terms and
+    stiffness blocks of a block are formed on a leading harmonic axis, with
+    the operands of a one-harmonic loop in the same order.  Every element
+    is evaluated at once and the Gauss points are summed one at a time in
+    ascending order, so each entry sees the same rounding as an
+    element-by-element loop.  The 2-D mass matrix ``M`` is
+    scattered once per run of one weight and given to every block of it,
+    against which it broadcasts: it must not be written to.
     """
     nodes = _active_mesh(plate, disc)
     h = np.diff(nodes)[:, None]        # (element, 1)
@@ -226,13 +242,11 @@ def _harmonic_matrices(plate: EffectivePlate, disc: Discretization, harmonics):
     Me = sum(mass[..., q] for q in range(_QUAD_XI.size))
     dofs = np.arange(4)[:, None] + 2 * np.arange(nodes.size - 1)   # (4, element)
     nu = plate.poisson_ratio
-    masses = {}                        # harmonic weight -> scattered M
-    harmonics = tuple(harmonics)
-    for start in range(0, len(harmonics), _HARMONIC_BLOCK):
-        block = harmonics[start:start + _HARMONIC_BLOCK]
+
+    def stiffness(block, weight):
         # n on a leading axis gives the curvature terms a harmonic axis;
         # the stiffness blocks are (harmonic, shape function, shape
-        # function, element, Gauss point)
+        # function, element, Gauss point), freed once the stack is built
         n = np.array(block)[:, None, None, None]
         n2N_r2 = (n * n) * N / r2
         lap = d2N_dN_r - n2N_r2
@@ -243,17 +257,22 @@ def _harmonic_matrices(plate: EffectivePlate, disc: Discretization, harmonics):
             - (1.0 - nu) * (d2N[:, None] * curv_t[:, None]
                             + curv_t[:, :, None] * d2N)
             + 2.0 * (1.0 - nu) * n * n * twist2)
-        cn = np.array([harmonic_weight(k) for k in block])
-        Ke = cn[:, None, None, None] * sum(stiff[..., q] for q in range(_QUAD_XI.size))
-        for cn_k, Ke_k in zip(cn.tolist(), Ke):
-            if cn_k not in masses:
-                masses[cn_k] = _scatter(cn_k * Me, dofs)
-            yield _scatter(Ke_k, dofs), masses[cn_k], nodes
+        # sum() adds the Gauss points one at a time in ascending order
+        return _scatter(weight * sum(stiff[..., q] for q in range(_QUAD_XI.size)), dofs)
+
+    per_block = max(1, _STACK_BYTES // (8 * (2 * nodes.size) ** 2))
+    for weight, run in itertools.groupby(harmonics, harmonic_weight):
+        run = tuple(run)
+        M = _scatter(weight * Me, dofs)
+        for start in range(0, len(run), per_block):
+            block = run[start:start + per_block]
+            yield block, stiffness(block, weight), M, nodes
 
 
 def _assemble_full(plate: EffectivePlate, n: int, disc: Discretization):
     """Assemble (K, M, nodes) of harmonic ``n``, clamp not yet applied."""
-    return next(_harmonic_matrices(plate, disc, (n,)))
+    _, K, M, nodes = next(_harmonic_matrices(plate, disc, (n,)))
+    return K[0], M, nodes
 
 
 def assemble(plate: EffectivePlate, n: int, disc: Discretization | None = None):
@@ -506,38 +525,49 @@ class ModalBasis:
 
 
 def _band(A: np.ndarray, half_bandwidth: int) -> tuple:
-    """Diagonals ``-half_bandwidth .. half_bandwidth`` of ``A`` in long double."""
-    return tuple(np.diagonal(A, d).astype(np.longdouble)
+    """Diagonals ``-half_bandwidth .. half_bandwidth`` of ``A`` in long double.
+
+    ``A`` may be a stack (..., n, n): each diagonal then keeps its leading
+    axes.
+    """
+    return tuple(np.diagonal(A, d, axis1=-2, axis2=-1).astype(np.longdouble)
                  for d in range(-half_bandwidth, half_bandwidth + 1))
 
 
 def _band_matvec(band: tuple, w: np.ndarray) -> np.ndarray:
     """``A @ w`` from ``_band(A, ...)`` for an ``A`` that is zero off the band.
 
-    The diagonals are added in ascending column order, as a dense product
-    accumulates each row; the products it skips are exact zeros, so the
-    result is the dense one bit for bit.
+    ``w`` is a vector or a stack of them (..., n) whose leading axes the
+    diagonals' broadcast against.  The diagonals are added in ascending
+    column order, as a dense product accumulates each row; the products it
+    skips are exact zeros, so the result is the dense one bit for bit.
     """
     out = np.zeros_like(w)
+    size = w.shape[-1]
     for d, diag in enumerate(band, start=-(len(band) // 2)):
         if d < 0:
-            out[-d:] += diag * w[:d]
+            out[..., -d:] += diag * w[..., :d]
         else:
-            out[:w.size - d] += diag * w[d:]
+            out[..., :size - d] += diag * w[..., d:]
     return out
 
 
-def _extended_residual(Kb: tuple, Mb: tuple, lam: float, w: np.ndarray):
+def _extended_residual(Kb: tuple, Mb: tuple, lam, w: np.ndarray):
     """||K w - lam M w|| / ||K w|| with ``w``, ``K w`` and ``M w`` in long double.
 
     ``Kb`` and ``Mb`` are the long-double diagonals of K and M from
-    ``_band``.  Returns ``(residual, w, K w, M w)``, the last three in long
-    double, so a caller can reuse this iterate's products.
+    ``_band``.  ``lam`` and ``w`` may carry leading axes, one pair per
+    index; each pair's norms are then taken row by row, as for one pair.
+    Returns ``(residual, w, K w, M w)``, the residual a float (or nested
+    lists of them, shaped as ``lam``) and the last three in long double, so
+    a caller can reuse this iterate's products.
     """
     wl = w.astype(np.longdouble)
     Kw, Mw = _band_matvec(Kb, wl), _band_matvec(Mb, wl)
-    r = Kw - np.longdouble(lam) * Mw
-    return float(np.linalg.norm(r) / np.linalg.norm(Kw)), wl, Kw, Mw
+    r = Kw - np.asarray(lam, dtype=np.longdouble)[..., None] * Mw
+    rows = zip(r.reshape(-1, r.shape[-1]), Kw.reshape(-1, r.shape[-1]))
+    residual = np.array([float(np.linalg.norm(a) / np.linalg.norm(b)) for a, b in rows])
+    return residual.reshape(np.shape(lam)).tolist(), wl, Kw, Mw
 
 
 def eig_residual(K: np.ndarray, M: np.ndarray, lam: float, w: np.ndarray) -> float:
@@ -571,34 +601,43 @@ def _lowest_eigenpairs(A: np.ndarray, B: np.ndarray, k: int):
     Rayleigh-Ritz step.  The last pass gives Y with A Y = B X, so the
     projected stiffness is Y^T B X and A itself is never multiplied.
 
+    ``A`` may be a stack (..., n, n) of pencils and ``B`` one matrix or a
+    stack that broadcasts against it: every step is then one stacked numpy
+    call, and each pencil gets the bits a 2-D call gives it.  The start is
+    shared, so the first pass factors it once for the whole stack.
+
     Returns ``(eigenvalues, vectors)``, ascending, the vectors B-orthonormal
-    columns.  Raises LinAlgError when A or the projected B is singular.
+    columns, with A's leading axes.  Raises LinAlgError when A or the
+    projected B of any pencil is singular.
     """
-    p = min(k + _SUBSPACE_EXTRA, A.shape[0])
+    p = min(k + _SUBSPACE_EXTRA, A.shape[-1])
     A_inv = np.linalg.inv(A)
-    Y = _start_block(A.shape[0], p)
+    Y = _start_block(A.shape[-1], p)
     for _ in range(_SUBSPACE_PASSES):
         X = np.linalg.qr(Y)[0]
         BX = B @ X
         Y = A_inv @ BX
-    A_p, B_p = Y.T @ BX, Y.T @ (B @ Y)
-    L_inv = np.linalg.inv(np.linalg.cholesky(0.5 * (B_p + B_p.T)))
-    vals, V = np.linalg.eigh(L_inv @ (0.5 * (A_p + A_p.T)) @ L_inv.T)
-    return vals[:k], Y @ (L_inv.T @ V[:, :k])
+    A_p, B_p = Y.mT @ BX, Y.mT @ (B @ Y)
+    L_inv = np.linalg.inv(np.linalg.cholesky(0.5 * (B_p + B_p.mT)))
+    vals, V = np.linalg.eigh(L_inv @ (0.5 * (A_p + A_p.mT)) @ L_inv.mT)
+    return vals[..., :k], Y @ (L_inv.mT @ V[..., :k])
 
 
-def _polish_eigenpair(K: np.ndarray, M: np.ndarray, lam: float, w: np.ndarray):
+def _polish_eigenpair(K: np.ndarray, M: np.ndarray, Kb: tuple, Mb: tuple,
+                      lam: float, w: np.ndarray, first: tuple):
     """Refine an eigenpair against the extended-precision residual.
 
     A float64 eigensolver's backward error is relative to ||K||, far above
-    ||K w|| for the lowest modes of a stiff plate.  Each pass takes the
-    Rayleigh quotient and residual from the last iterate's 80-bit ``K w``
-    and ``M w`` and applies a float64 correction solve with a slightly
-    offset shift (K - 0.99 lam M is nearly singular on purpose: that is
-    what makes the correction an inverse-iteration step).
-    K and M must be the banded Hermite matrices (half-bandwidth 3): only
-    their 7 diagonals are converted to long double, once, and each iterate
-    costs one ``_extended_residual``, i.e. two band products of O(7 ndof).
+    ||K w|| for the lowest modes of a stiff plate.  ``first`` is the
+    ``_extended_residual`` of the pair as the solver gave it.  Each pass
+    takes the Rayleigh quotient and residual from the last iterate's 80-bit
+    ``K w`` and ``M w`` and applies a float64 correction solve with a
+    slightly offset shift (K - 0.99 lam M is nearly singular on purpose:
+    that is what makes the correction an inverse-iteration step).
+    K and M must be the banded Hermite matrices (half-bandwidth 3) and
+    ``Kb``, ``Mb`` their 7 diagonals in long double from ``_band``: each
+    iterate costs one ``_extended_residual``, i.e. two band products of
+    O(7 ndof).
 
     A pair whose first residual is already under ``0.5 *
     EIG_RESIDUAL_TOL``, the loop's own stopping point, is returned as it
@@ -607,8 +646,7 @@ def _polish_eigenpair(K: np.ndarray, M: np.ndarray, lam: float, w: np.ndarray):
     Returns ``(residual, lam, w)`` of the iterate with the smallest
     residual, the residual being ``eig_residual(K, M, lam, w)``.
     """
-    Kb, Mb = _band(K, _HALF_BANDWIDTH), _band(M, _HALF_BANDWIDTH)
-    score, wl, Kw, Mw = _extended_residual(Kb, Mb, lam, w)
+    score, wl, Kw, Mw = first
     best = (score, lam, w)
     if score < 0.5 * EIG_RESIDUAL_TOL:
         return best
@@ -638,33 +676,41 @@ def solve_modes(plate: EffectivePlate, n_max: int, modes_per_n: int = 1,
     degenerate down to the last bit); ``n = 0`` modes are single.  Every
     eigenpair is polished and gated on the polish's own extended-precision
     residual: above ``EIG_RESIDUAL_TOL`` the solve raises NumericalError.
+    The harmonics of one ``_harmonic_matrices`` block are solved together,
+    so a block that fails to converge is reported under its lowest
+    harmonic, before any pair of the block is gated.
     """
     if n_max < n_min:
         raise DomainError(f"n_max ({n_max}) must be >= n_min ({n_min})")
     disc = disc or Discretization()
     modes = []
-    harmonics = range(n_min, n_max + 1)
-    for n, (K, M, nodes) in zip(harmonics,
-                                _harmonic_matrices(plate, disc, harmonics)):
-        Kc, Mc = K[2:, 2:], M[2:, 2:]
+    for block, K, M, nodes in _harmonic_matrices(plate, disc, range(n_min, n_max + 1)):
+        Kc, Mc = K[:, 2:, 2:], M[2:, 2:]
         # equilibrate: slope DOFs carry 1/length units, rescale before solving
-        s = np.ones(Kc.shape[0])
+        s = np.ones(Kc.shape[-1])
         s[1::2] = float(np.mean(np.diff(nodes)))
         S = np.outer(s, s)
         try:
             evals, evecs = _lowest_eigenpairs(Kc * S, Mc * S,
-                                              min(modes_per_n, Kc.shape[0]))
+                                              min(modes_per_n, Kc.shape[-1]))
         except np.linalg.LinAlgError as exc:
             raise NumericalError("eigensolver failed to converge",
-                                 harmonic=n, radial_nodes=disc.radial_nodes) from exc
-        for k in range(evals.size):
-            lam = evals[k]
+                                 harmonic=block[0], radial_nodes=disc.radial_nodes) from exc
+        # (family, harmonic, dof): one family's vectors broadcast against
+        # the harmonics' band diagonals
+        W = np.multiply(s, np.moveaxis(evecs, -1, 0), order="C")
+        for j, k in np.ndindex(evals.shape):
+            W[k, j] /= np.sqrt(W[k, j] @ Mc @ W[k, j])
+        Kb, Mb = _band(Kc, _HALF_BANDWIDTH), _band(Mc, _HALF_BANDWIDTH)
+        scores, wl, Kw, Mw = _extended_residual(Kb, Mb, evals.T, W)
+        for j, k in np.ndindex(evals.shape):
+            n, lam = block[j], evals[j, k]
             if lam <= 0.0:
                 raise NumericalError(f"non-positive eigenvalue {lam:.3e}",
                                      harmonic=n, radial_nodes=disc.radial_nodes)
-            w = s * evecs[:, k]
-            w = w / np.sqrt(w @ Mc @ w)
-            resid, lam, w = _polish_eigenpair(Kc, Mc, lam, w)
+            resid, lam, w = _polish_eigenpair(
+                Kc[j], Mc, tuple(d[j] for d in Kb), Mb,
+                lam, W[k, j], (scores[k][j], wl[k, j], Kw[k, j], Mw[k, j]))
             if resid > EIG_RESIDUAL_TOL:
                 raise NumericalError(
                     f"eigenpair residual {resid:.3e} above tolerance (the "

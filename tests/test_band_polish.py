@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from statorlab.modal import (_HALF_BANDWIDTH, Discretization, ModalBasis,
-                             _assemble_full, _band, _band_matvec, eig_residual,
+                             _assemble_full, _band, _band_matvec,
+                             _extended_residual, eig_residual,
                              format_radial_profiles, solve_modes)
 
 MESHES = (32, 64, 80, 128)
@@ -62,6 +63,25 @@ def test_band_product_is_the_dense_product(calibrated_plate):
             order_matters += any(not np.array_equal(_descending(band, w), dense @ w)
                                  for w in ws)
     assert order_matters == 2 * len(MESHES) * 8
+
+
+def test_stacked_residual_is_each_pairs_own(calibrated_plate):
+    # (family, harmonic, dof) vectors against (harmonic, diagonal) bands and
+    # one shared mass band, as solve_modes evaluates a block's pairs
+    disc = Discretization(radial_nodes=64)
+    K = np.stack([_assemble_full(calibrated_plate, n, disc)[0] for n in range(1, 5)])
+    K, M = K[:, 2:, 2:], _assemble_full(calibrated_plate, 1, disc)[1][2:, 2:]
+    rng = np.random.default_rng(11)
+    w = rng.standard_normal((2, 4, K.shape[-1]))
+    lam = rng.uniform(1e8, 1e10, (2, 4))
+    Kb, Mb = _band(K, _HALF_BANDWIDTH), _band(M, _HALF_BANDWIDTH)
+    resid, wl, Kw, Mw = _extended_residual(Kb, Mb, lam, w)
+    for k, j in np.ndindex(lam.shape):
+        one = _extended_residual(_band(K[j], _HALF_BANDWIDTH), Mb, lam[k, j], w[k, j])
+        assert isinstance(one[0], float) and resid[k][j] == one[0], (k, j)
+        # long double values (tobytes() would compare the padding bytes)
+        for got, ref in zip((wl, Kw, Mw), one[1:]):
+            assert np.array_equal(got[k, j], ref), (k, j)
 
 
 def test_eig_residual_of_a_dense_pair():

@@ -178,6 +178,9 @@ def test_damping_overrides_reach_material():
     # harmonic detection on the fit's ring needs 8 samples per unit of n
     ("analysis.circle_count=8", "analysis.circle_count 8 is too coarse for "
                                 "drive.electrode_harmonic 4"),
+    # below RingGrid's own floor of 8, the same message
+    ("analysis.circle_count=4", "analysis.circle_count 4 is too coarse for "
+                                "drive.electrode_harmonic 4"),
     ("analysis.circle_count=31", "at least 8 \\* n = 32 samples"),
     # JSON admits NaN, Infinity and integers beyond the float64 range
     ("drive.duration=NaN", "drive.duration: expected a finite number"),
@@ -333,13 +336,30 @@ def test_cli_ring_too_coarse_for_the_driven_harmonic_is_config_error(
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("count", [4, 16])
+def test_cli_ring_below_the_ring_floor_gets_the_same_message(tmp_path, capsys,
+                                                             count):
+    # 4 is below RingGrid's own floor of 8, 16 above it: one refusal, one
+    # message naming the driven harmonic
+    rc = main(["fit", "--out", str(tmp_path / "o"),
+               "--set", f"analysis.circle_count={count}"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == (f"config error: analysis.circle_count {count} is too coarse "
+                   "for drive.electrode_harmonic 4: detecting harmonic n needs "
+                   "at least 8 * n = 32 samples on the ring\n")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("harmonic", [4, 7])
 def test_cli_fit_detects_the_harmonic_on_the_coarsest_ring(tmp_path, harmonic):
     out = tmp_path / "o"
-    rc = main(["fit", "--out", str(out), "--set", f"modal.n_max={harmonic}",
-               "--set", f"drive.electrode_harmonic={harmonic}",
-               "--set", "image.pixels=64", "--set", "drive.duration=0.002",
-               "--set", f"analysis.circle_count={8 * harmonic}"])
+    # the 2 ms drive is shorter than the 3.4 ms settling, and the fit says so
+    with pytest.warns(RuntimeWarning, match="has not settled"):
+        rc = main(["fit", "--out", str(out), "--set", f"modal.n_max={harmonic}",
+                   "--set", f"drive.electrode_harmonic={harmonic}",
+                   "--set", "image.pixels=64", "--set", "drive.duration=0.002",
+                   "--set", f"analysis.circle_count={8 * harmonic}"])
     assert rc == 0
     summary = (out / "fit_summary.txt").read_text().splitlines()
     assert f"detected harmonic: n={harmonic}" in summary

@@ -9,9 +9,16 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
-from statorlab.modal import (Discretization, _assemble_full,
-                             _lowest_eigenpairs, _polish_eigenpair,
-                             _start_block, solve_modes)
+from statorlab.modal import (_HALF_BANDWIDTH, Discretization, _assemble_full,
+                             _band, _extended_residual, _lowest_eigenpairs,
+                             _polish_eigenpair, _start_block, solve_modes)
+
+
+def _polish(K, M, lam, w):
+    """``_polish_eigenpair`` of one pair, handed its bands and first
+    residual as ``solve_modes`` hands them over."""
+    Kb, Mb = _band(K, _HALF_BANDWIDTH), _band(M, _HALF_BANDWIDTH)
+    return _polish_eigenpair(K, M, Kb, Mb, lam, w, _extended_residual(Kb, Mb, lam, w))
 
 
 def _reference_frequencies(plate, disc, modes_per_n):
@@ -26,7 +33,7 @@ def _reference_frequencies(plate, disc, modes_per_n):
         evals, evecs = eigh(Kc * S, Mc * S, subset_by_index=(0, modes_per_n - 1))
         for k in range(modes_per_n):
             w = s * evecs[:, k]
-            _, lam, _ = _polish_eigenpair(Kc, Mc, evals[k], w / np.sqrt(w @ Mc @ w))
+            _, lam, _ = _polish(Kc, Mc, evals[k], w / np.sqrt(w @ Mc @ w))
             out[n, k] = np.sqrt(lam) / (2.0 * np.pi)
     return out
 
@@ -87,3 +94,20 @@ def test_start_block_is_the_fixed_seed_draw_read_only(shape):
         Y[0, 0] = 1.0
     # drawn once per shape, then shared
     assert _start_block(*shape) is Y
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_stacked_pencils_bit_identical_to_one_pencil_calls(k):
+    # a stack of A against one broadcast B (a harmonic block), and a stack
+    # of both; each slice must get the bits of its own 2-D call
+    pencils = [_random_pencil(40, seed) for seed in (3, 17, 2024, 7919)]
+    A = np.stack([a for a, _ in pencils])
+    B = np.stack([b for _, b in pencils])
+    for B_stack in (B[0], B):
+        vals, vecs = _lowest_eigenpairs(A, B_stack, k)
+        assert vals.shape == (4, k) and vecs.shape == (4, 40, k)
+        for j in range(4):
+            ref_vals, ref_vecs = _lowest_eigenpairs(A[j], B_stack[j] if B_stack.ndim == 3
+                                                    else B_stack, k)
+            assert vals[j].tobytes() == ref_vals.tobytes(), j
+            assert vecs[j].tobytes() == ref_vecs.tobytes(), j

@@ -18,8 +18,16 @@ import pytest
 
 from statorlab import modal
 from statorlab.errors import NumericalError
-from statorlab.modal import (EIG_RESIDUAL_TOL, Discretization, _assemble_full,
+from statorlab.modal import (_HALF_BANDWIDTH, EIG_RESIDUAL_TOL, Discretization,
+                             _assemble_full, _band, _extended_residual,
                              _lowest_eigenpairs, _polish_eigenpair, solve_modes)
+
+
+def _polish(K, M, lam, w):
+    """``_polish_eigenpair`` of one pair, handed its bands and first
+    residual as ``solve_modes`` hands them over."""
+    Kb, Mb = _band(K, _HALF_BANDWIDTH), _band(M, _HALF_BANDWIDTH)
+    return _polish_eigenpair(K, M, Kb, Mb, lam, w, _extended_residual(Kb, Mb, lam, w))
 
 
 def _eig_residual_ref(K: np.ndarray, M: np.ndarray, lam: float, w: np.ndarray) -> float:
@@ -85,7 +93,7 @@ def test_polish_bit_identical_to_reference(calibrated_plate, radial_nodes, refus
     over = []
     for n in range(8):
         for K, M, lam, w in _solver_pairs(calibrated_plate, n, disc, 2):
-            resid, lam_new, w_new = _polish_eigenpair(K, M, lam, w)
+            resid, lam_new, w_new = _polish(K, M, lam, w)
             first = _eig_residual_ref(K, M, lam, w)
             if first < 0.5 * EIG_RESIDUAL_TOL:
                 # already passing: returned untouched, no correction solve
@@ -135,13 +143,15 @@ def _reference_corrections(plate, disc, monkeypatch):
 
 
 def test_gate_reads_the_polish_residual(calibrated_plate, monkeypatch):
-    # one extended-precision evaluation per iterate (the solver's pair and
-    # one per correction solve) and no second residual for the gate; the
-    # subspace iteration itself calls no np.linalg.solve, and a pair that
-    # already passes takes no correction solve
+    # one extended-precision evaluation per iterate and no second residual
+    # for the gate: the solver's pairs of a harmonic block share one
+    # evaluation, and each correction solve takes one more; the subspace
+    # iteration itself calls no np.linalg.solve, and a pair that already
+    # passes takes no correction solve
     expected = _reference_corrections(calibrated_plate, Discretization(), monkeypatch)
-    calls = {"extended": 0, "solve": 0}
+    calls = {"extended": 0, "solve": 0, "block": 0}
     extended, correction = modal._extended_residual, np.linalg.solve
+    eigenpairs = modal._lowest_eigenpairs
 
     def count(name, fn):
         def wrapped(*args, **kwargs):
@@ -155,9 +165,12 @@ def test_gate_reads_the_polish_residual(calibrated_plate, monkeypatch):
     monkeypatch.setattr(modal, "_extended_residual", count("extended", extended))
     monkeypatch.setattr(np.linalg, "solve", count("solve", correction))
     monkeypatch.setattr(modal, "eig_residual", forbidden)
+    monkeypatch.setattr(modal, "_lowest_eigenpairs", count("block", eigenpairs))
     basis = solve_modes(calibrated_plate, n_max=7, n_min=0, modes_per_n=2)
     pairs = 8 * 2                    # n = 0..7, two radial families each
     assert len({(m.n, m.family) for m in basis}) == pairs
     assert calls["solve"] == expected
     assert calls["solve"] < pairs
-    assert calls["extended"] == pairs + calls["solve"]
+    # the default 32-node mesh takes n = 0 alone and n = 1..7 in one block
+    assert calls["block"] == 2
+    assert calls["extended"] == calls["block"] + calls["solve"]
