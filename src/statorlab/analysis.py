@@ -73,12 +73,12 @@ class CircleSample:
         return self.theta.size
 
     @classmethod
-    def from_field(cls, fld: DisplacementField, radius: float | None = None,
-                   count: int | None = None, source: str = "simulation"
+    def from_field(cls, fld: DisplacementField, source: str = "simulation"
                    ) -> "CircleSample":
-        theta, vals = circle_values(fld, radius=radius, count=count)
-        r = radius if radius is not None else getattr(fld.grid, "radius")
-        return cls(radius=float(r), theta=theta, values=vals, source=source)
+        """The circle of a ring field; a raster must be unwrapped first."""
+        theta, vals = circle_values(fld)
+        return cls(radius=float(fld.grid.radius), theta=theta, values=vals,
+                   source=source)
 
 
 def detect_mode_number(sample: CircleSample) -> int:

@@ -16,9 +16,10 @@ sample and at any instant in the span, so there is no time stepping, no
 step-size stability limit, and linearity in the drive voltage is
 bit-exact.
 
-Only driven modes cost anything: ``respond`` evaluates the rows whose
-steady or transient term is non-zero, a probe reads only those rows, and
-a field render contracts over the modes whose state is non-zero (its live
+Only driven modes cost anything: ``respond`` starts every mode at rest
+and evaluates only the driven rows, those with Q != 0 (from rest C is
+zero exactly when Q is); a probe reads only those rows, and a field
+render contracts over the modes whose state is non-zero (its live
 modes).  Probes and renders alike contract the real and imaginary parts
 of the state with real shape tables.  Each trajectory keeps one shape
 table per (grid, live modes): renders on one grid with the same live
@@ -31,11 +32,11 @@ call; probes, renders and ``Mode.angular`` share that one routine, so a
 sample's shape has the same bits whichever of them evaluates it.
 ``respond`` evaluates each distinct decay exponent once: the two modes of
 a cos/sin pair share theirs.
-An envelope contracts the real and imaginary parts of the complex state
-with the real shape table and takes their magnitude on the masked samples
-only, so no complex table or raster is formed.  ``steady_envelope``
-renders the steady phasors Q straight from the drive, with no trajectory
-sampled.
+An envelope is rendered from the steady phasors Q: it contracts their
+real and imaginary parts with the real shape table and takes the
+magnitude on the masked samples only, so no complex table or raster is
+formed.  ``field_envelope`` reads Q from a trajectory, ``steady_envelope``
+straight from the drive, with no trajectory sampled.
 """
 
 from __future__ import annotations
@@ -196,9 +197,8 @@ class ModalTrajectory:
 
 
 def respond(basis: ModalBasis, drive: DriveConfig, duration: float,
-            dt: float | None = None, initial: np.ndarray | None = None
-            ) -> ModalTrajectory:
-    """Sample every retained mode through ``duration`` seconds.
+            dt: float | None = None) -> ModalTrajectory:
+    """Sample every retained mode from rest through ``duration`` seconds.
 
     The closed form Q e^{i w t} + C e^{(-alpha + i wd) t} is evaluated at
     every sample in one array expression, so accuracy is independent of
@@ -206,10 +206,8 @@ def respond(basis: ModalBasis, drive: DriveConfig, duration: float,
     dt <= 1/(20 f_max) is still enforced so downstream envelope and crest
     measurements stay well sampled.
 
-    ``initial`` optionally sets the starting complex modal state, one
-    value per basis mode (default is from rest); useful for free-decay
-    studies with force_per_volt = 0.  The decay e^{(-alpha + i wd) t} is
-    evaluated once per distinct exponent: a cos/sin pair shares it.
+    The decay e^{(-alpha + i wd) t} is evaluated once per distinct
+    exponent: a cos/sin pair shares it.
     """
     if len(basis) == 0:
         raise DomainError("modal basis is empty")
@@ -240,17 +238,10 @@ def respond(basis: ModalBasis, drive: DriveConfig, duration: float,
             "the duration or raise dt")
 
     alpha, wd, Q, C = _mode_constants(basis, drive)
-    if initial is not None:
-        initial = np.asarray(initial, dtype=complex)
-        if initial.shape != Q.shape:
-            raise DomainError(
-                f"initial state must hold one complex value per basis mode "
-                f"({Q.size}), got shape {initial.shape}")
-        C = initial - Q
     times = dt * np.arange(int(samples))
     E = np.exp(1.0j * drive.omega * times)
     # undriven modes at rest stay exactly zero
-    live = (Q != 0.0) | (C != 0.0)
+    live = Q != 0.0
     exponents, row = np.unique(-alpha[live] + 1.0j * wd[live],
                                return_inverse=True)
     q_live = (Q[live, None] * E + C[live, None]
@@ -384,24 +375,20 @@ def field_at(basis: ModalBasis, trajectory: ModalTrajectory, t: float,
 
 
 def field_envelope(basis: ModalBasis, trajectory: ModalTrajectory,
-                   grid, t: float | None = None) -> DisplacementField:
-    """Vibration envelope |sum_k q_k Phi_k| per sample.
-
-    With ``t`` given, uses the instantaneous complex state (transient
-    included); with ``t = None``, the analytic steady state.
-    """
-    state = trajectory.steady if t is None else trajectory.state_at(t)
-    return DisplacementField(grid, _render(basis, grid, state, trajectory),
-                             time=trajectory.times[-1] if t is None else t)
+                   grid) -> DisplacementField:
+    """Steady-state vibration envelope |sum_k Q_k Phi_k| per sample, from
+    the trajectory's steady phasors, stamped with its end time."""
+    return DisplacementField(
+        grid, _render(basis, grid, trajectory.steady, trajectory),
+        time=trajectory.times[-1])
 
 
 def steady_envelope(basis: ModalBasis, drive: DriveConfig,
                     grid) -> DisplacementField:
     """Steady-state vibration envelope |sum_k Q_k Phi_k| under ``drive``.
 
-    Equal, sample for sample, to ``field_envelope`` with ``t = None`` of
-    any trajectory ``respond`` gives for the same basis and drive, without
-    sampling one.
+    Equal, sample for sample, to ``field_envelope`` of any trajectory
+    ``respond`` gives for the same basis and drive, without sampling one.
     """
     state = _mode_constants(basis, drive)[2]
     return DisplacementField(grid, _render(basis, grid, state))

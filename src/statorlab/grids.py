@@ -10,14 +10,15 @@ masked sample, from ``np.cos`` and ``np.sin`` of ``theta[mask]``, from
 which ``modal`` forms every angular pattern cos(n theta), sin(n theta) by
 complex powering.  The full-sample ``r`` and ``theta`` are not stored:
 each is a property that recomputes the grid's expression on every read.
-None of these arrays take part in equality, hashing or ``describe()``;
-two grids are the same grid when their defining fields are equal, which
-is the test ``require_same_grid`` applies and the key a trajectory's
-shape tables use.  Each flavor also has ``shape`` and a ``describe()``
-metadata dict:
+None of these arrays take part in equality or hashing; two grids are
+the same grid when their defining fields are equal, which is the test
+``require_same_grid`` applies and the key a trajectory's shape tables
+use.  Each flavor also has ``shape``:
 
 * ``RasterGrid``: a square camera-style image in Cartesian pixel layout,
-  with polar coordinates per pixel and an annulus validity mask.  This is what the fringe images render on.
+  with polar coordinates per pixel and an annulus validity mask.  This is
+  what the fringe images render on; its ``describe()`` metadata dict
+  heads the strobe phase dump.
 * ``RingGrid``: a single circle of uniform angular samples at a fixed
   radius.  The quantitative pipeline (strobe difference, unwrap, fit)
   runs on rings, where circular sampling is exact rather than
@@ -26,6 +27,8 @@ metadata dict:
 A ``DisplacementField`` pairs one grid with per-sample out-of-plane
 displacement in meters; samples where ``grid.mask`` is False carry no
 physical meaning and stay flagged rather than silently zeroed.
+``circle_values`` reads a ring field's circle; a raster field is sampled
+along a circle only by ``holography.unwrap_to_displacement``.
 """
 
 from __future__ import annotations
@@ -145,9 +148,6 @@ class RingGrid(_Samples):
     def shape(self):
         return (self.count,)
 
-    def describe(self) -> dict:
-        return {"kind": "ring", "count": self.count, "radius_m": self.radius}
-
 
 def require_same_grid(a, b, context: str):
     if a != b:
@@ -170,80 +170,19 @@ class DisplacementField:
         if not np.all(np.isfinite(self.values[self.grid.mask])):
             raise DomainError("non-finite displacement on valid samples")
 
-    def peak(self) -> float:
-        return float(np.max(np.abs(self.values[self.grid.mask])))
-
     def scaled(self, factor: float) -> "DisplacementField":
         return DisplacementField(self.grid, self.values * factor, self.time)
 
 
-def _bilinear_stencil(grid: RasterGrid, r, theta):
-    """Bilinear stencil of a raster at polar points.
+def circle_values(fld: DisplacementField):
+    """The (theta, values) of a ring field: its stored data verbatim.
 
-    Returns ``(rows, cols, fr, fc)``: ``values[rows, cols]`` stacks the
-    four corner pixels of each point on a new leading axis, in the order
-    (r0, c0), (r0, c0 + 1), (r0 + 1, c0), (r0 + 1, c0 + 1), and ``fr``,
-    ``fc`` are the point's fractional offsets from its (r0, c0) corner.
-    """
-    r = np.asarray(r, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    x = r * np.cos(theta)
-    y = r * np.sin(theta)
-    half = grid.extent
-    step = 2.0 * half / grid.pixels
-    # fractional pixel indices; rows count downward from +y
-    col = (x + half) / step - 0.5
-    row = (half - y) / step - 0.5
-    c0 = np.clip(np.floor(col).astype(int), 0, grid.pixels - 2)
-    r0 = np.clip(np.floor(row).astype(int), 0, grid.pixels - 2)
-    fc = np.clip(col - c0, 0.0, 1.0)
-    fr = np.clip(row - r0, 0.0, 1.0)
-    rows = np.stack([r0, r0, r0 + 1, r0 + 1])
-    cols = np.stack([c0, c0 + 1, c0, c0 + 1])
-    return rows, cols, fr, fc
-
-
-def _bilinear_blend(corners: np.ndarray, fr, fc) -> np.ndarray:
-    """Interpolate stacked corner values with the stencil's offsets."""
-    v00, v01, v10, v11 = corners
-    return ((1 - fr) * ((1 - fc) * v00 + fc * v01)
-            + fr * ((1 - fc) * v10 + fc * v11))
-
-
-def bilinear_sample(grid: RasterGrid, values: np.ndarray,
-                    r, theta) -> np.ndarray:
-    """Sample a raster array at polar points via bilinear interpolation."""
-    rows, cols, fr, fc = _bilinear_stencil(grid, r, theta)
-    return _bilinear_blend(values[rows, cols], fr, fc)
-
-
-def _raster_ring(grid: RasterGrid, radius: float | None,
-                 count: int | None) -> RingGrid:
-    """The ring of ``count`` (default 360) uniform angles at ``radius``
-    along which a raster is sampled; the radius must lie in the annulus."""
-    if radius is None:
-        raise DomainError("raster grids need an explicit circle radius")
-    if not grid.inner_radius <= radius <= grid.outer_radius:
-        raise DomainError(
-            f"circle radius {radius} outside annulus "
-            f"[{grid.inner_radius}, {grid.outer_radius}]")
-    return RingGrid(radius=radius, count=count or 360)
-
-
-def circle_values(fld: DisplacementField, radius: float | None = None,
-                  count: int | None = None):
-    """Extract (theta, values) along a circle of the field.
-
-    On a ring grid this is the stored data verbatim (radius optional and
-    checked); on a raster it bilinearly interpolates ``count`` uniform
-    angles, which smooths pixel quantization.
+    A raster has no circle of its own; unwrap it onto a ring first
+    (``holography.unwrap_to_displacement`` samples a raster's circle).
     """
     grid = fld.grid
-    if isinstance(grid, RingGrid):
-        if radius is not None and not np.isclose(radius, grid.radius,
-                                                 rtol=1e-9, atol=0.0):
-            raise DomainError(
-                f"ring grid holds radius {grid.radius}, asked for {radius}")
-        return grid.theta, fld.values.copy()
-    ring = _raster_ring(grid, radius, count)
-    return ring.theta, bilinear_sample(grid, fld.values, ring.r, ring.theta)
+    if not isinstance(grid, RingGrid):
+        raise DomainError(
+            f"circle values need a ring field, got a {type(grid).__name__}; "
+            "unwrap it onto a ring first")
+    return grid.theta, fld.values.copy()

@@ -25,6 +25,9 @@ terms in each of P and Q.  Both ranges agree with Cephes' j0 (the one
 
 Unwrapping is deliberately one-dimensional along closed circles (the
 downstream pipeline samples circles anyway); no 2-D unwrap is attempted.
+A ring map unwraps as it is.  A raster map is first sampled along one
+circle of the annulus, bilinearly from the four pixels around each
+sample; this module is the only one that samples a raster off its pixels.
 """
 
 from __future__ import annotations
@@ -37,8 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import J0_FIRST_ZERO, STROBE_DUTY_LIMIT, DomainError, UnwrapError
-from .grids import (DisplacementField, RasterGrid, RingGrid, _bilinear_blend,
-                    _bilinear_stencil, _raster_ring, require_same_grid)
+from .grids import DisplacementField, RasterGrid, RingGrid, require_same_grid
 
 
 @dataclass(frozen=True)
@@ -284,19 +286,72 @@ def _unwrap_closed(phases: np.ndarray, where: str) -> np.ndarray:
     return u
 
 
+def _bilinear_stencil(grid: RasterGrid, r, theta):
+    """Bilinear stencil of a raster at polar points.
+
+    Returns ``(rows, cols, fr, fc)``: ``values[rows, cols]`` stacks the
+    four corner pixels of each point on a new leading axis, in the order
+    (r0, c0), (r0, c0 + 1), (r0 + 1, c0), (r0 + 1, c0 + 1), and ``fr``,
+    ``fc`` are the point's fractional offsets from its (r0, c0) corner.
+    """
+    x = r * np.cos(theta)
+    y = r * np.sin(theta)
+    half = grid.extent
+    step = 2.0 * half / grid.pixels
+    # fractional pixel indices; rows count downward from +y
+    col = (x + half) / step - 0.5
+    row = (half - y) / step - 0.5
+    c0 = np.clip(np.floor(col).astype(int), 0, grid.pixels - 2)
+    r0 = np.clip(np.floor(row).astype(int), 0, grid.pixels - 2)
+    fc = np.clip(col - c0, 0.0, 1.0)
+    fr = np.clip(row - r0, 0.0, 1.0)
+    rows = np.stack([r0, r0, r0 + 1, r0 + 1])
+    cols = np.stack([c0, c0 + 1, c0, c0 + 1])
+    return rows, cols, fr, fc
+
+
+def _bilinear_blend(corners: np.ndarray, fr, fc) -> np.ndarray:
+    """Interpolate stacked corner values with the stencil's offsets."""
+    v00, v01, v10, v11 = corners
+    return ((1 - fr) * ((1 - fc) * v00 + fc * v01)
+            + fr * ((1 - fc) * v10 + fc * v11))
+
+
+def _raster_ring(grid: RasterGrid, radius: float | None,
+                 count: int | None) -> RingGrid:
+    """The ring of ``count`` (default 360) uniform angles at ``radius``
+    along which a raster is sampled; the radius must lie in the annulus."""
+    if radius is None:
+        raise DomainError("raster grids need an explicit circle radius")
+    if not grid.inner_radius <= radius <= grid.outer_radius:
+        raise DomainError(
+            f"circle radius {radius} outside annulus "
+            f"[{grid.inner_radius}, {grid.outer_radius}]")
+    return RingGrid(radius=radius, count=360 if count is None else count)
+
+
 def unwrap_to_displacement(pmap: PhaseMap, optics: OpticalConfig,
                            radius: float | None = None,
                            count: int | None = None) -> DisplacementField:
     """Displacement difference along a closed circle of the phase map.
 
-    Ring-grid maps unwrap in place; raster maps need a ``radius`` and are
-    sampled as interpolated phasors (interpolating cos/sin rather than
-    the wrapped angle keeps branch cuts out of the interpolation); the
-    phasor is formed only at the pixels the bilinear stencil reads.
-    Returns the difference field in meters on a ring grid.
+    Ring-grid maps unwrap in place; a ``radius`` or ``count`` given with
+    one must be the ring's own.  Raster maps need a ``radius`` and are
+    sampled at ``count`` (default 360) uniform angles as interpolated
+    phasors (interpolating cos/sin rather than the wrapped angle keeps
+    branch cuts out of the interpolation); the phasor is formed only at
+    the pixels the bilinear stencil reads.  Returns the difference field
+    in meters on a ring grid.
     """
     grid = pmap.grid
     if isinstance(grid, RingGrid):
+        if radius is not None and not np.isclose(radius, grid.radius,
+                                                 rtol=1e-9, atol=0.0):
+            raise DomainError(
+                f"ring grid holds radius {grid.radius}, asked for {radius}")
+        if count is not None and count != grid.count:
+            raise DomainError(
+                f"ring grid holds {grid.count} samples, asked for {count}")
         ring, sampled = grid, pmap.phase
     elif isinstance(grid, RasterGrid):
         ring = _raster_ring(grid, radius, count)

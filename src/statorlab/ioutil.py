@@ -13,11 +13,14 @@ reads back to the same float) and joins the cells with ``","`` and CRLF.
 A column of strings is written as it is, so a caller can format a column
 shared by several blocks of rows once, with ``format_cells``.  No cell is
 quoted; a string that would need quoting is refused.
+
+PGM images and float32 dumps are written from 2-D rasters.  The package
+writes these files and never reads them back; the dump's header says
+everything a reader needs (shape, dtype, grid metadata).
 """
 
 from __future__ import annotations
 
-import math
 import os
 import tempfile
 
@@ -100,12 +103,9 @@ def quantize_intensity(intensity: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def write_pgm(path, intensity: np.ndarray, mask: np.ndarray):
-    """Binary PGM (P5, maxval 255) of an intensity map in [0, 1]."""
-    if intensity.ndim == 1:
-        intensity = intensity[None, :]
-        mask = mask[None, :]
+    """Binary PGM (P5, maxval 255) of a raster intensity map in [0, 1]."""
     if intensity.ndim != 2:
-        raise DomainError(f"PGM export needs a 1-D or 2-D array, got {intensity.ndim}-D")
+        raise DomainError(f"PGM export needs a 2-D array, got {intensity.ndim}-D")
     img = quantize_intensity(intensity, mask)
     h, w = img.shape
     header = f"P5\n{w} {h}\n255\n".encode("ascii")
@@ -135,26 +135,3 @@ def write_field_f32(path, values: np.ndarray, meta: dict):
     payload = np.ascontiguousarray(values, dtype="<f4").tobytes()
     atomic_write_bytes(path, header + payload)
 
-
-def read_field_f32(path):
-    """Inverse of write_field_f32: returns (values, meta dict of strings)."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    end = blob.find(b"end-header\n")
-    if end < 0 or not blob.startswith(FIELD_MAGIC.encode("ascii")):
-        raise DomainError(f"{path}: not a statorlab field dump")
-    meta = {}
-    try:
-        for line in blob[:end].decode("ascii").splitlines()[1:]:
-            key, _, value = line.partition(" ")
-            meta[key] = value
-        shape = tuple(int(s) for s in meta.pop("shape").split("x"))
-    except (KeyError, ValueError):      # UnicodeDecodeError is a ValueError
-        raise DomainError(f"{path}: field dump header is not ASCII or has "
-                          "no valid shape line") from None
-    payload = blob[end + len(b"end-header\n"):]
-    if min(shape) < 0 or len(payload) != 4 * math.prod(shape):
-        raise DomainError(f"{path}: {len(payload)} payload bytes do not hold "
-                          f"a float32 array of shape {shape}")
-    values = np.frombuffer(payload, dtype="<f4").reshape(shape)
-    return values.astype(float), meta

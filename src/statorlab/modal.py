@@ -507,11 +507,11 @@ class ModalBasis:
             out = [m for m in out if m.orientation == orientation]
         return out
 
-    def frequency_for(self, n: int, family: int = 0) -> float:
+    def frequency_for(self, n: int) -> float:
         """Lowest-family eigenfrequency of harmonic ``n`` [Hz]."""
-        found = self.select(n, family=family)
+        found = self.select(n)
         if not found:
-            raise DomainError(f"harmonic n={n} (family {family}) not present in basis")
+            raise DomainError(f"harmonic n={n} (family 0) not present in basis")
         return found[0].frequency
 
     def damping_for(self, n: int) -> float:
@@ -744,24 +744,18 @@ class CalibrationResult:
     scale: float                 # factor applied to D(r)
 
 
-def calibrate(plate: EffectivePlate, target: tuple, basis: ModalBasis | None = None,
+def calibrate(plate: EffectivePlate, target: tuple,
               disc: Discretization | None = None) -> CalibrationResult:
     """Rescale D(r) so the lowest mode of harmonic ``target[0]`` hits ``target[1]`` Hz.
 
-    Frequencies scale as sqrt(D), so the factor is
-    ``(f_target / f_current)^2``; every frequency ratio in the basis is
-    preserved exactly.
+    Solves harmonic ``target[0]`` alone on ``disc``.  Frequencies scale as
+    sqrt(D), so the factor is ``(f_target / f_current)^2``; every frequency
+    ratio in the basis is preserved exactly.
     """
     n, f_target = int(target[0]), float(target[1])
     if f_target <= 0.0:
         raise DomainError(f"target frequency must be positive, got {f_target}")
-    if basis is not None:
-        f_current = basis.frequency_for(n)
-        disc = disc or basis.discretization
-    else:
-        disc = disc or Discretization()
-        probe = solve_modes(plate, n_max=n, n_min=n, modes_per_n=1, disc=disc)
-        f_current = probe.frequency_for(n)
+    f_current = solve_modes(plate, n_max=n, n_min=n, disc=disc).frequency_for(n)
     try:
         scale = (f_target / f_current) ** 2
     except OverflowError:

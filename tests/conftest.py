@@ -1,7 +1,9 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
+from statorlab import dynamics
 from statorlab.geometry import (EffectivePlate, Material, StatorGeometry,
                                 homogenize)
 from statorlab.modal import calibrate, solve_modes
@@ -80,3 +82,23 @@ def split_pair():
             if (m.n, m.orientation, m.family) == (n, "sin", 0) else m
             for m in basis))
     return split_pair
+
+
+@pytest.fixture(scope="session")
+def trajectory_from():
+    """``trajectory_from(basis, drive, duration, state0)``: the
+    ``ModalTrajectory`` of ``basis`` under ``drive`` that starts from the
+    complex modal state ``state0``, on the samples ``respond`` takes:
+    q = Q e^{i w t} + C e^{(-alpha + i wd) t} row by row, with
+    C = state0 - Q.  ``respond`` starts from rest and lights only the
+    driven rows; this lights any row."""
+    def trajectory_from(basis, drive, duration, state0):
+        alpha, wd, Q, _ = dynamics._mode_constants(basis, drive)
+        times = dynamics.respond(basis, drive, duration=duration).times
+        C = np.asarray(state0, dtype=complex) - Q
+        q = (Q[:, None] * np.exp(1.0j * drive.omega * times)
+             + C[:, None] * np.exp(np.outer(-alpha + 1.0j * wd, times)))
+        return dynamics.ModalTrajectory(times=times, q=q, steady=Q,
+                                        basis=basis, drive=drive,
+                                        alpha=alpha, wd=wd)
+    return trajectory_from

@@ -53,13 +53,16 @@ def test_from_field_ring_and_raster():
     assert s.radius == 12e-3 and s.count == 90
     assert np.array_equal(s.values, vals)
 
+    assert s.source == "simulation"
+    assert CircleSample.from_field(DisplacementField(ring, vals),
+                                   source="hologram").source == "hologram"
+
+    # a raster is sampled along a circle only by the unwrap
     grid = RasterGrid(inner_radius=3.75e-3, outer_radius=15e-3, pixels=128)
     field = np.zeros(grid.shape)
     field[grid.mask] = np.cos(3 * grid.theta[grid.mask])
-    s2 = CircleSample.from_field(DisplacementField(grid, field),
-                                 radius=12e-3, count=180, source="hologram")
-    assert s2.source == "hologram"
-    assert np.max(np.abs(s2.values - np.cos(3 * s2.theta))) < 5e-3
+    with pytest.raises(DomainError, match="unwrap it onto a ring first"):
+        CircleSample.from_field(DisplacementField(grid, field))
 
 
 @pytest.mark.parametrize("n", range(1, 8))

@@ -380,11 +380,14 @@ def test_cli_eigen_gate_names_both_levers(tmp_path, capsys):
 
 
 def test_cli_strobes_up_to_the_last_two_cycles_run(tmp_path):
-    # 358 + the default 60 deg offset = 418 deg, inside the 720 deg span
-    rc = main(["fit", "--out", str(tmp_path / "o"), "--set", "modal.n_max=4",
-               "--set", "drive.duration=0.002",
-               "--set", "analysis.strobe_phases_deg=[0,179,358]"])
+    # 358 + the default 60 deg offset = 418 deg, inside the 720 deg span;
+    # 2 ms is shorter than the 3.4 ms settling, so each strobe warns
+    with pytest.warns(RuntimeWarning, match="has not settled") as caught:
+        rc = main(["fit", "--out", str(tmp_path / "o"),
+                   "--set", "modal.n_max=4", "--set", "drive.duration=0.002",
+                   "--set", "analysis.strobe_phases_deg=[0,179,358]"])
     assert rc == 0
+    assert len(caught) == 3
     assert (tmp_path / "o" / "fit_summary.txt").exists()
 
 
@@ -558,7 +561,8 @@ def test_cli_fringes_field_header_bytes(tmp_path):
 def test_cli_modes_outputs(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["modes", "--out", str(out), *LIGHT]) == 0
-    rows = list(csv.reader((out / "modes.csv").open()))
+    with (out / "modes.csv").open() as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == ["n", "orientation", "family", "frequency_hz"]
     assert rows[1][:3] == ["1", "cos", "0"]
     assert float(rows[1][3]) == pytest.approx(3680.0, rel=1e-6)

@@ -6,11 +6,11 @@ from scipy.special import j0, jn_zeros
 
 from statorlab import holography
 from statorlab.errors import DomainError, UnwrapError
-from statorlab.grids import (DisplacementField, RasterGrid, RingGrid,
-                             bilinear_sample)
-from statorlab.holography import (OpticalConfig, first_dark_fringe_amplitude,
-                                  stroboscopic, time_averaged,
-                                  unwrap_to_displacement, wrap_phase)
+from statorlab.grids import DisplacementField, RasterGrid, RingGrid
+from statorlab.holography import (OpticalConfig, PhaseMap,
+                                  first_dark_fringe_amplitude, stroboscopic,
+                                  time_averaged, unwrap_to_displacement,
+                                  wrap_phase)
 
 
 @pytest.fixture(scope="module")
@@ -205,7 +205,6 @@ def test_unwrap_zero_field(optics):
 
 
 def test_unwrap_rejects_nonzero_winding(optics):
-    from statorlab.holography import PhaseMap
     ring = RingGrid(radius=12e-3, count=90)
     # one full turn of phase around the loop cannot come from a
     # single-valued displacement difference
@@ -247,16 +246,41 @@ def test_unwrap_raster_equals_full_map_phasors(optics, count):
     got = unwrap_to_displacement(pm, noisy, radius=12e-3, count=count)
     # the cos/sin of the whole phase map, sampled, then the angle
     ring = RingGrid(radius=12e-3, count=count)
-    coss = bilinear_sample(grid, np.cos(pm.phase), ring.r, ring.theta)
-    sins = bilinear_sample(grid, np.sin(pm.phase), ring.r, ring.theta)
+    rows, cols, fr, fc = holography._bilinear_stencil(grid, ring.r, ring.theta)
+    coss = holography._bilinear_blend(np.cos(pm.phase)[rows, cols], fr, fc)
+    sins = holography._bilinear_blend(np.sin(pm.phase)[rows, cols], fr, fc)
     sampled = np.arctan2(sins, coss)
     sampled[sampled <= -np.pi] = np.pi
     expected = holography._unwrap_closed(sampled, "reference")
     assert np.array_equal(got.values, expected / noisy.sensitivity_factor)
 
 
+@pytest.mark.parametrize("count", [0, 7])
+def test_raster_unwrap_refuses_too_few_samples(optics, count):
+    grid = RasterGrid(inner_radius=3.75e-3, outer_radius=15e-3, pixels=64)
+    pm = PhaseMap(grid, np.zeros(grid.shape), 0.0, 60.0)
+    with pytest.raises(DomainError, match=f"must be >= 8, got {count}"):
+        unwrap_to_displacement(pm, optics, radius=12e-3, count=count)
+    # only a count left out takes the default
+    assert unwrap_to_displacement(pm, optics, radius=12e-3).grid.count == 360
+
+
+def test_ring_unwrap_refuses_another_circle(optics):
+    ring = RingGrid(radius=15e-3, count=90)
+    pm = PhaseMap(ring, np.zeros(90), 0.0, 60.0)
+    for radius, count, fragment in ((10e-3, 12, "radius"),
+                                    (10e-3, None, "radius"),
+                                    (15e-3 * (1 + 1e-8), None, "radius"),
+                                    (None, 12, "90 samples, asked for 12")):
+        with pytest.raises(DomainError, match=fragment):
+            unwrap_to_displacement(pm, optics, radius=radius, count=count)
+    # the ring's own circle, to rounding, is the ring
+    out = unwrap_to_displacement(pm, optics, radius=15e-3 * (1 + 1e-12),
+                                 count=90)
+    assert out.grid is ring
+
+
 def test_phase_map_validation():
-    from statorlab.holography import PhaseMap
     ring = RingGrid(radius=12e-3, count=16)
     with pytest.raises(DomainError):
         PhaseMap(ring, np.full(16, 4.0), 0.0, 60.0)

@@ -76,11 +76,11 @@ def test_probe_matches_reference_off_axis(basis):
     assert worst <= 1e-16 and settled
 
 
-def test_probe_matches_reference_with_every_row_live(basis):
+def test_probe_matches_reference_with_every_row_live(basis, trajectory_from):
     rng = np.random.default_rng(11)
     start = (rng.standard_normal(len(basis))
              + 1j * rng.standard_normal(len(basis))) * 1e-8
-    traj = respond(basis, _drive(basis), duration=2e-3, initial=start)
+    traj = trajectory_from(basis, _drive(basis), 2e-3, start)
     assert traj.q.any(axis=1).all()
     worst, settled = _worst(basis, traj, [(r, 2.3) for r in POINTS_RADII])
     assert worst <= 8 * np.finfo(float).eps and settled
