@@ -206,14 +206,14 @@ def cmd_fringes(plan) -> int:
         env = steady_envelope(basis, drive_n, grid)
         img = holography.time_averaged(env, optics)
         name = f"timeavg_md{n}.pgm"
-        ioutil.write_pgm(_outpath(plan, name), img.intensity, grid.mask)
+        ioutil.write_pgm(_outpath(plan, name), img.samples, grid.mask)
         written.append(name)
-        # the next harmonic's render must not run with these two rasters live
+        # the next harmonic's render must not run with these two records live
         del env, img
 
     stem = f"strobe_md{drive.electrode_harmonic}_{0:g}d_{offset:g}d"
     ioutil.write_pgm(_outpath(plan, stem + ".pgm"),
-                     ioutil.phase_to_unit(pmap.phase), grid.mask)
+                     ioutil.phase_to_unit(pmap.samples), grid.mask)
     ioutil.write_field_f32(_outpath(plan, stem + ".f32"), pmap.phase,
                            dict(grid.describe(), strobe_a_deg=pmap.strobe_phase_a,
                                 strobe_b_deg=pmap.strobe_phase_b))

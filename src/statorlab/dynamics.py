@@ -32,11 +32,13 @@ call; probes, renders and ``Mode.angular`` share that one routine, so a
 sample's shape has the same bits whichever of them evaluates it.
 ``respond`` evaluates each distinct decay exponent once: the two modes of
 a cos/sin pair share theirs.
-An envelope is rendered from the steady phasors Q: it contracts their
-real and imaginary parts with the real shape table and takes the
-magnitude on the masked samples only, so no complex table or raster is
-formed.  ``field_envelope`` reads Q from a trajectory, ``steady_envelope``
-straight from the drive, with no trajectory sampled.
+Every render yields the masked samples of the grid, which the field
+stores as they are, so no render forms a raster.  An envelope is
+rendered from the steady phasors Q: it contracts their real and
+imaginary parts with the real shape table and takes the magnitude on the
+masked samples, so no complex table is formed.  ``field_envelope`` reads
+Q from a trajectory, ``steady_envelope`` straight from the drive, with no
+trajectory sampled.
 """
 
 from __future__ import annotations
@@ -338,40 +340,33 @@ def _mode_shapes_on(modes, grid) -> np.ndarray:
 
 def _render(basis: ModalBasis, grid, state: np.ndarray,
             trajectory: ModalTrajectory | None = None) -> np.ndarray:
-    """sum_k state_k Phi_k on the grid, or its magnitude for a complex
-    ``state``; off-annulus samples stay zero.
+    """sum_k state_k Phi_k at the masked samples of the grid, or its
+    magnitude for a complex ``state``.
 
     Only modes with a non-zero state are evaluated: through the shape
     table ``trajectory`` keeps for ``grid`` and those modes, or afresh
     without one.  A complex state contracts its real and imaginary parts
-    with the real shape table and takes the magnitude on the masked
-    samples only, so the table and the raster stay real.
+    with the real shape table and takes the magnitude, so the table stays
+    real.
     """
-    values = np.zeros(grid.shape)
     live = np.flatnonzero(state)
-    if live.size:
-        modes = tuple(basis.modes[k] for k in live)
-        shapes = (_mode_shapes_on(modes, grid) if trajectory is None
-                  else trajectory._shapes_on(grid, modes))
-        if np.iscomplexobj(state):
-            re, im = np.stack([state[live].real, state[live].imag]) @ shapes
-            # a table built for this render alone is freed before the
-            # raster's pages are touched
-            del shapes
-            values[grid.mask] = np.hypot(re, im, out=re)
-        else:
-            values[grid.mask] = state[live] @ shapes
-    return values
+    if not live.size:
+        return np.zeros(grid.unit.size)
+    modes = tuple(basis.modes[k] for k in live)
+    shapes = (_mode_shapes_on(modes, grid) if trajectory is None
+              else trajectory._shapes_on(grid, modes))
+    if np.iscomplexobj(state):
+        re, im = np.stack([state[live].real, state[live].imag]) @ shapes
+        return np.hypot(re, im, out=re)
+    return state[live] @ shapes
 
 
 def field_at(basis: ModalBasis, trajectory: ModalTrajectory, t: float,
              grid) -> DisplacementField:
-    """Instantaneous displacement field: sum_k Re[q_k(t)] Phi_k.
-
-    Off-annulus samples are left at zero and flagged by the grid mask.
-    """
-    values = _render(basis, grid, trajectory.state_at(t).real, trajectory)
-    return DisplacementField(grid, values, time=t)
+    """Instantaneous displacement field: sum_k Re[q_k(t)] Phi_k at the
+    masked samples of ``grid``."""
+    samples = _render(basis, grid, trajectory.state_at(t).real, trajectory)
+    return DisplacementField(grid, samples, time=t)
 
 
 def field_envelope(basis: ModalBasis, trajectory: ModalTrajectory,
@@ -557,17 +552,15 @@ def mixed_response(basis: ModalBasis, external: ExternalMode,
                             drive.drive_frequency)
     w_e = lorentzian_weight(external.frequency, external.damping_ratio,
                             drive.drive_frequency)
-    mask = grid.mask
-    pat_m = np.zeros(grid.shape)
-    pat_m[mask] = _mode_shapes_on((mode,), grid)[0]
-    pat_e = np.zeros(grid.shape)
-    pat_e[mask] = external.shape(grid.r[mask], grid.theta[mask])
+    pat_m = _mode_shapes_on((mode,), grid)[0]
+    pat_e = np.array(external.shape(grid.r[grid.mask], grid.theta[grid.mask]),
+                     dtype=float)
     for p in (pat_m, pat_e):
-        peak = np.max(np.abs(p[mask]))
+        peak = np.max(np.abs(p))
         if peak < 1e-300:
             raise NumericalError("degenerate (all-zero) pattern in mixed response")
         p /= peak
     total = w_m + w_e
-    values = (w_m * pat_m + w_e * pat_e) / total
-    return MixedResponse(field=DisplacementField(grid, values),
+    samples = (w_m * pat_m + w_e * pat_e) / total
+    return MixedResponse(field=DisplacementField(grid, samples),
                          modal_weight=w_m, external_weight=w_e)

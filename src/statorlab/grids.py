@@ -24,9 +24,15 @@ use.  Each flavor also has ``shape``:
   runs on rings, where circular sampling is exact rather than
   interpolated.
 
-A ``DisplacementField`` pairs one grid with per-sample out-of-plane
-displacement in meters; samples where ``grid.mask`` is False carry no
-physical meaning and stay flagged rather than silently zeroed.
+A ``DisplacementField`` pairs one grid with the out-of-plane
+displacement in meters at its masked samples: a 1-D ``samples`` array in
+``r[mask]`` order, so for a ring the ring itself.  Samples where
+``grid.mask`` is False carry no physical meaning and are not stored.  A
+raster of the grid's shape, zeros off the mask, is formed only when a
+caller reads it (``values``), by the grid's ``raster`` routine, which
+``holography``'s fringe images and phase maps share; each read forms a
+new array.  ``MaskedRecord``, the base of the field and of both
+holography records, refuses samples of any other shape.
 ``circle_values`` reads a ring field's circle; a raster field is sampled
 along a circle only by ``holography.unwrap_to_displacement``.
 """
@@ -60,6 +66,14 @@ class _Samples:
                             ("radius_index", radius_index),
                             ("unit", unit_phasors(self.theta[mask]))):
             object.__setattr__(self, name, value)
+
+    def raster(self, samples: np.ndarray) -> np.ndarray:
+        """A new float array of the grid's shape holding ``samples`` (one
+        per masked sample, in ``r[mask]`` order) on the mask and zeros off
+        it; every call forms a fresh raster."""
+        out = np.zeros(self.shape)
+        out[self.mask] = samples
+        return out
 
 
 @dataclass(frozen=True)
@@ -155,23 +169,42 @@ def require_same_grid(a, b, context: str):
 
 
 @dataclass(frozen=True)
-class DisplacementField:
-    """Out-of-plane displacement snapshot on a grid, in meters."""
+class MaskedRecord:
+    """A record of one value per masked sample of ``grid``, in ``r[mask]``
+    order: the 1-D ``samples``, refused at any other shape.  Each
+    subclass checks its values and names the raster ``_raster`` reads."""
 
     grid: object
-    values: np.ndarray
+    samples: np.ndarray
+
+    def __post_init__(self):
+        if self.samples.shape != self.grid.unit.shape:
+            raise GridMismatchError(
+                f"{type(self).__name__} samples of shape {self.samples.shape} "
+                f"do not match the {self.grid.unit.size} masked samples")
+
+    def _raster(self) -> np.ndarray:
+        """The record as a raster of the grid's shape, zeros off the mask;
+        a new array on each read."""
+        return self.grid.raster(self.samples)
+
+
+@dataclass(frozen=True)
+class DisplacementField(MaskedRecord):
+    """Out-of-plane displacement snapshot on a grid, in meters, at its
+    masked samples."""
+
     time: float = 0.0
 
     def __post_init__(self):
-        if self.values.shape != self.grid.shape:
-            raise GridMismatchError(
-                f"field shape {self.values.shape} does not match grid "
-                f"{self.grid.shape}")
-        if not np.all(np.isfinite(self.values[self.grid.mask])):
+        super().__post_init__()
+        if not np.all(np.isfinite(self.samples)):
             raise DomainError("non-finite displacement on valid samples")
 
+    values = property(MaskedRecord._raster)
+
     def scaled(self, factor: float) -> "DisplacementField":
-        return DisplacementField(self.grid, self.values * factor, self.time)
+        return DisplacementField(self.grid, self.samples * factor, self.time)
 
 
 def circle_values(fld: DisplacementField):
@@ -185,4 +218,4 @@ def circle_values(fld: DisplacementField):
         raise DomainError(
             f"circle values need a ring field, got a {type(grid).__name__}; "
             "unwrap it onto a ring first")
-    return grid.theta, fld.values.copy()
+    return grid.theta, fld.samples.copy()

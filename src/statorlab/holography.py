@@ -9,9 +9,13 @@ Two instrument models, both per-pixel maps of dynamics fields:
 * stroboscopic double exposure: the wrapped phase of k times the
   displacement difference between two strobe instants of the drive cycle.
 
-Both work on the masked samples only, mostly in place, and scatter the
-result into a zeroed raster once.  Phase noise is still drawn over the
-whole raster and then masked, so a seeded generator gives the same map.
+Both work on the masked samples only, mostly in place, and keep the
+result as masked samples: a ``FringeImage`` or ``PhaseMap`` stores one
+value per masked sample, in ``r[mask]`` order, and forms a raster
+(``intensity``, ``phase``, zeros off the mask) only when a caller reads
+one, such as a file writer or the raster unwrap's bilinear stencil.
+Phase noise is still drawn over the whole raster and then masked, so a
+seeded generator gives the same map.
 
 J0 is computed in numpy by ``_j0``.  Below x = 50 it sums a degree-5
 Taylor series about the nearest node of a table with spacing 1/128.  The
@@ -40,7 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import J0_FIRST_ZERO, STROBE_DUTY_LIMIT, DomainError, UnwrapError
-from .grids import DisplacementField, RasterGrid, RingGrid, require_same_grid
+from .grids import (DisplacementField, MaskedRecord, RasterGrid, RingGrid,
+                    require_same_grid)
 
 
 @dataclass(frozen=True)
@@ -76,36 +81,35 @@ class OpticalConfig:
 
 
 @dataclass(frozen=True)
-class FringeImage:
-    """Time-averaged fringe intensity in [0, 1]; off-annulus pixels masked."""
-
-    grid: object
-    intensity: np.ndarray
+class FringeImage(MaskedRecord):
+    """Time-averaged fringe intensity in [0, 1] at the masked samples."""
 
     def __post_init__(self):
-        if self.intensity.shape != self.grid.shape:
-            raise DomainError("intensity shape does not match grid")
-        valid = self.intensity[self.grid.mask]
-        if valid.size and (valid.min() < 0.0 or valid.max() > 1.0):
-            raise DomainError("fringe intensity outside [0, 1]")
+        super().__post_init__()
+        s = self.samples
+        # written so that a NaN fails it too
+        if s.size and not (s.min() >= 0.0 and s.max() <= 1.0):
+            raise DomainError("fringe intensity outside [0, 1] or not finite")
+
+    intensity = property(MaskedRecord._raster)
 
 
 @dataclass(frozen=True)
-class PhaseMap:
-    """Wrapped stroboscopic phase in (-pi, pi] with its strobe instants."""
+class PhaseMap(MaskedRecord):
+    """Wrapped stroboscopic phase in (-pi, pi] at the masked samples, with
+    its strobe instants."""
 
-    grid: object
-    phase: np.ndarray
     strobe_phase_a: float      # degrees of the electrical cycle
     strobe_phase_b: float
 
     def __post_init__(self):
-        if self.phase.shape != self.grid.shape:
-            raise DomainError("phase shape does not match grid")
-        valid = self.phase[self.grid.mask]
+        super().__post_init__()
+        s = self.samples
         # written so that a NaN (noise draws that overflowed) fails it too
-        if valid.size and not (valid.min() > -math.pi and valid.max() <= math.pi):
+        if s.size and not (s.min() > -math.pi and s.max() <= math.pi):
             raise DomainError("wrapped phase outside (-pi, pi] or not finite")
+
+    phase = property(MaskedRecord._raster)
 
 
 def wrap_phase(x):
@@ -207,8 +211,7 @@ def time_averaged(amplitude_field: DisplacementField,
     nothing.  Amplitudes beyond ``optics.amplitude_clip`` are clipped with
     a warning instead of erroring.
     """
-    mask = amplitude_field.grid.mask
-    a = np.abs(amplitude_field.values[mask], dtype=float)
+    a = np.abs(amplitude_field.samples, dtype=float)
     if np.any(a > optics.amplitude_clip):
         warnings.warn(
             f"amplitudes above {optics.amplitude_clip:g} m clipped in "
@@ -216,9 +219,7 @@ def time_averaged(amplitude_field: DisplacementField,
         np.minimum(a, optics.amplitude_clip, out=a)
     a *= optics.sensitivity_factor
     fringe = _j0(a)
-    intensity = np.zeros(amplitude_field.values.shape)
-    intensity[mask] = np.square(fringe, out=fringe)
-    return FringeImage(amplitude_field.grid, intensity)
+    return FringeImage(amplitude_field.grid, np.square(fringe, out=fringe))
 
 
 def first_dark_fringe_amplitude(optics: OpticalConfig) -> float:
@@ -242,8 +243,7 @@ def stroboscopic(field_a: DisplacementField, field_b: DisplacementField,
     """
     require_same_grid(field_a.grid, field_b.grid, "stroboscopic")
     mask = field_a.grid.mask
-    raw = field_b.values[mask].astype(float, copy=False)
-    raw -= field_a.values[mask]
+    raw = np.subtract(field_b.samples, field_a.samples, dtype=float)
     raw *= optics.sensitivity_factor
     if optics.noise_sigma > 0.0:
         if rng is None:
@@ -252,9 +252,7 @@ def stroboscopic(field_a: DisplacementField, field_b: DisplacementField,
                 "reproducible output")
         # drawn over the whole raster, so the seeded stream stays the same
         raw += rng.normal(0.0, optics.noise_sigma, size=mask.shape)[mask]
-    phase = np.zeros(mask.shape)
-    phase[mask] = _wrap_in_place(raw)
-    return PhaseMap(field_a.grid, phase,
+    return PhaseMap(field_a.grid, _wrap_in_place(raw),
                     strobe_phase_a=float(strobe_phases[0]),
                     strobe_phase_b=float(strobe_phases[1]))
 
@@ -352,10 +350,11 @@ def unwrap_to_displacement(pmap: PhaseMap, optics: OpticalConfig,
         if count is not None and count != grid.count:
             raise DomainError(
                 f"ring grid holds {grid.count} samples, asked for {count}")
-        ring, sampled = grid, pmap.phase
+        ring, sampled = grid, pmap.samples
     elif isinstance(grid, RasterGrid):
         ring = _raster_ring(grid, radius, count)
         rows, cols, fr, fc = _bilinear_stencil(grid, ring.r, ring.theta)
+        # the one raster an exposure forms: off-mask corners read 0
         corners = pmap.phase[rows, cols]
         coss = _bilinear_blend(np.cos(corners), fr, fc)
         sins = _bilinear_blend(np.sin(corners), fr, fc)

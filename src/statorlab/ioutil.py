@@ -14,9 +14,11 @@ A column of strings is written as it is, so a caller can format a column
 shared by several blocks of rows once, with ``format_cells``.  No cell is
 quoted; a string that would need quoting is refused.
 
-PGM images and float32 dumps are written from 2-D rasters.  The package
-writes these files and never reads them back; the dump's header says
-everything a reader needs (shape, dtype, grid metadata).
+A PGM image is quantized from the masked samples of a 2-D mask straight
+into its 8-bit raster, so no float raster is formed for it; a float32
+dump is written from a 2-D raster.  The package writes these files and
+never reads them back; the dump's header says everything a reader needs
+(shape, dtype, grid metadata).
 """
 
 from __future__ import annotations
@@ -91,22 +93,26 @@ def write_csv(path, header, columns):
     atomic_write_bytes(path, ("\r\n".join(lines) + "\r\n").encode("utf-8"))
 
 
-def quantize_intensity(intensity: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """8-bit quantization round(i*255); masked-out samples map to 0.
+def quantize_intensity(samples: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """8-bit quantization round(i*255) of the intensity ``samples`` at the
+    True entries of ``mask``, in their order; the image is 0 off the mask.
 
     Zeroing invalid pixels is a property of the export format only; the
-    in-memory objects keep the validity mask.
+    in-memory objects hold the masked samples alone.
     """
-    img = np.zeros(intensity.shape, dtype=np.uint8)
-    img[mask] = np.rint(np.clip(intensity[mask], 0.0, 1.0) * 255.0).astype(np.uint8)
+    img = np.zeros(mask.shape, dtype=np.uint8)
+    img[mask] = np.rint(np.clip(samples, 0.0, 1.0) * 255.0).astype(np.uint8)
     return img
 
 
-def write_pgm(path, intensity: np.ndarray, mask: np.ndarray):
-    """Binary PGM (P5, maxval 255) of a raster intensity map in [0, 1]."""
-    if intensity.ndim != 2:
-        raise DomainError(f"PGM export needs a 2-D array, got {intensity.ndim}-D")
-    img = quantize_intensity(intensity, mask)
+def write_pgm(path, samples: np.ndarray, mask: np.ndarray):
+    """Binary PGM (P5, maxval 255) of intensity ``samples`` in [0, 1], one
+    per True pixel of the 2-D ``mask``."""
+    if mask.ndim != 2:
+        raise DomainError(f"PGM export needs a 2-D array, got {mask.ndim}-D")
+    if samples.shape != (np.count_nonzero(mask),):
+        raise DomainError(f"PGM export of {samples.shape} samples: not one per mask pixel")
+    img = quantize_intensity(samples, mask)
     h, w = img.shape
     header = f"P5\n{w} {h}\n255\n".encode("ascii")
     atomic_write_bytes(path, header + img.tobytes())

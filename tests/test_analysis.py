@@ -59,10 +59,9 @@ def test_from_field_ring_and_raster():
 
     # a raster is sampled along a circle only by the unwrap
     grid = RasterGrid(inner_radius=3.75e-3, outer_radius=15e-3, pixels=128)
-    field = np.zeros(grid.shape)
-    field[grid.mask] = np.cos(3 * grid.theta[grid.mask])
+    samples = np.cos(3 * grid.theta[grid.mask])
     with pytest.raises(DomainError, match="unwrap it onto a ring first"):
-        CircleSample.from_field(DisplacementField(grid, field))
+        CircleSample.from_field(DisplacementField(grid, samples))
 
 
 @pytest.mark.parametrize("n", range(1, 8))

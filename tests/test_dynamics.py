@@ -321,7 +321,7 @@ def _renders_and_references(basis, traj, grid):
     return [
         (field_envelope(basis, traj, grid).values,
          np.abs(_full_render(basis, grid, traj.steady))),
-        (dynamics._render(basis, grid, traj.state_at(t_mid), traj),
+        (grid.raster(dynamics._render(basis, grid, traj.state_at(t_mid), traj)),
          np.abs(_full_render(basis, grid, traj.state_at(t_mid)))),
         (snapshot_at_strobe(basis, traj, grid, 90.0).values,
          _full_render(basis, grid, traj.state_at(t_strobe).real)),
@@ -497,16 +497,16 @@ def test_strobe_then_envelope_build_one_table_each(basis, drive,
     strobe = snapshot_at_strobe(basis, traj, raster, 30.0)
     envelope = field_envelope(basis, traj, raster)
     assert calls == [14, 2]
-    assert np.array_equal(snapshot_at_strobe(basis, traj, raster, 30.0).values,
-                          strobe.values)
-    assert np.array_equal(field_envelope(basis, traj, raster).values,
-                          envelope.values)
+    assert np.array_equal(snapshot_at_strobe(basis, traj, raster, 30.0).samples,
+                          strobe.samples)
+    assert np.array_equal(field_envelope(basis, traj, raster).samples,
+                          envelope.samples)
     assert calls == [14, 2]
     # both equal renders from shapes evaluated afresh, without a table
     assert np.array_equal(
-        strobe.values,
+        strobe.samples,
         dynamics._render(basis, raster, traj.state_at(strobe.time).real))
-    assert np.array_equal(envelope.values,
+    assert np.array_equal(envelope.samples,
                           np.abs(dynamics._render(basis, raster, traj.steady)))
     assert calls == [14, 2, 14, 2]
 

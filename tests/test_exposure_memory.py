@@ -1,28 +1,32 @@
-"""Peak memory of one 384 px exposure.
+"""Peak memory and raster count of one 384 px exposure.
 
 The steady envelope, its time-averaged fringes, a strobe pair and their
-stroboscopic phase map hold 7.5 MB when done: the (2, P) shape table of
-the two driven modes (P = 98,500 masked pixels) and five 384 x 384 float
-rasters (1.2 MB each).  Each step's peak above what was traced when it
-started, and the peak of the whole exposure, are bounded 20 percent above
-their measured values, so a complex copy of the shape table (3.2 MB) or a
-full-raster temporary at a step's peak goes over.
+stroboscopic phase map hold 5.5 MB when done: the (2, P) shape table of
+the two driven modes (P = 98,500 masked pixels) and five records of P
+float samples (0.79 MB each).  Each step's peak above what was traced
+when it started, and the peak of the whole exposure, are bounded 20
+percent above their measured values, so a complex copy of the shape table
+(3.2 MB) or a 384 x 384 float raster (1.2 MB) at a step's peak goes over.
+
+The only raster an exposure forms through to its fit is the phase map
+the raster unwrap's bilinear stencil reads.
 """
 
 import tracemalloc
 
 import pytest
 
-from statorlab import dynamics
+from statorlab import analysis, dynamics, grids
 from statorlab.grids import RasterGrid
-from statorlab.holography import OpticalConfig, stroboscopic, time_averaged
+from statorlab.holography import (OpticalConfig, stroboscopic, time_averaged,
+                                  unwrap_to_displacement)
 
 MB = 1e6
-# measured: 4.33, 4.04, 2.07, 2.07, 2.76 and 9.06 MB
-STEP_BOUNDS = {"envelope": 5.2 * MB, "time_averaged": 4.85 * MB,
-               "strobe a": 2.5 * MB, "strobe b": 2.5 * MB,
-               "stroboscopic": 3.3 * MB}
-EXPOSURE_BOUND = 10.9 * MB
+# measured: 3.25, 4.04, 0.89, 0.89, 1.08 and 6.60 MB
+STEP_BOUNDS = {"envelope": 3.9 * MB, "time_averaged": 4.85 * MB,
+               "strobe a": 1.07 * MB, "strobe b": 1.07 * MB,
+               "stroboscopic": 1.3 * MB}
+EXPOSURE_BOUND = 7.92 * MB
 
 
 @pytest.fixture(scope="module")
@@ -70,3 +74,29 @@ def test_exposure_peak_memory_384px(basis, drive, geometry):
             if peak > STEP_BOUNDS[name]}
     assert not over
     assert exposure <= EXPOSURE_BOUND, f"{exposure / MB:.2f} MB"
+
+
+def test_raster_exposure_forms_at_most_one_raster(basis, drive, geometry,
+                                                  monkeypatch):
+    grid = RasterGrid(inner_radius=geometry.inner_radius,
+                      outer_radius=geometry.outer_radius, pixels=128)
+    optics = OpticalConfig()
+    traj = dynamics.respond(basis, drive, duration=4e-3)
+    formed = []
+    raster = grids._Samples.raster
+
+    def counted(self, samples):
+        formed.append(self.shape)
+        return raster(self, samples)
+
+    monkeypatch.setattr(grids._Samples, "raster", counted)
+    envelope = dynamics.field_envelope(basis, traj, grid)
+    time_averaged(envelope, optics)
+    a = dynamics.snapshot_at_strobe(basis, traj, grid, 0.0)
+    b = dynamics.snapshot_at_strobe(basis, traj, grid, 60.0)
+    pmap = stroboscopic(a, b, optics, strobe_phases=(0.0, 60.0))
+    diff = unwrap_to_displacement(pmap, optics, radius=12e-3)
+    sample = analysis.CircleSample.from_field(diff, source="hologram")
+    fit = analysis.fit_eq1(sample, analysis.detect_mode_number(sample))
+    assert fit.n == 4
+    assert len(formed) <= 1 and set(formed) <= {grid.shape}

@@ -150,13 +150,13 @@ def test_require_same_grid_compares_descriptions(a, b):
 ])
 def test_raster_circle_errors_shared_by_sampling_and_unwrap(radius, fragment):
     grid = RasterGrid(inner_radius=4e-3, outer_radius=14e-3, pixels=64)
-    pmap = PhaseMap(grid, np.zeros(grid.shape), 0.0, 60.0)
+    pmap = PhaseMap(grid, np.zeros(grid.shape)[grid.mask], 0.0, 60.0)
     with pytest.raises(DomainError, match=fragment):
         _sample_raster(grid, pmap.phase, radius=radius)
     with pytest.raises(DomainError, match=fragment):
         unwrap_to_displacement(pmap, OpticalConfig(), radius=radius)
     # the raster's own field has no circle to read without the unwrap
-    fld = DisplacementField(grid, np.zeros(grid.shape))
+    fld = DisplacementField(grid, np.zeros(grid.shape)[grid.mask])
     with pytest.raises(DomainError, match="unwrap it onto a ring first"):
         circle_values(fld)
 
@@ -167,12 +167,17 @@ def test_displacement_field_validation():
         DisplacementField(ring, np.zeros(17))
     with pytest.raises(DomainError):
         DisplacementField(ring, np.full(16, np.nan))
-    # non-finite values outside the mask are tolerated
+    # a field holds only the masked samples: built from a raster's masked
+    # samples it never sees the off-mask NaNs, and reads 0 there
     grid = RasterGrid(inner_radius=4e-3, outer_radius=10e-3, pixels=32)
     values = np.zeros(grid.shape)
     values[~grid.mask] = np.nan
-    fld = DisplacementField(grid, values)
+    fld = DisplacementField(grid, values[grid.mask])
     assert np.max(np.abs(fld.values[grid.mask])) == 0.0
+    assert np.all(fld.values[~grid.mask] == 0.0)
+    # a raster is not a field's samples
+    with pytest.raises(GridMismatchError):
+        DisplacementField(grid, values)
 
 
 def test_field_scaling():
@@ -233,7 +238,7 @@ def test_pgm_header_and_payload(tmp_path):
     path = tmp_path / "t.pgm"
     intensity = np.array([[0.0, 1.0], [0.5, 0.25]])
     mask = np.array([[True, True], [True, False]])
-    ioutil.write_pgm(path, intensity, mask)
+    ioutil.write_pgm(path, intensity[mask], mask)
     data = path.read_bytes()
     assert data.startswith(b"P5\n2 2\n255\n")
     payload = data[len(b"P5\n2 2\n255\n"):]
@@ -243,6 +248,29 @@ def test_pgm_header_and_payload(tmp_path):
     with pytest.raises(DomainError, match="2-D array, got 1-D"):
         ioutil.write_pgm(line, np.linspace(0, 1, 8), np.ones(8, dtype=bool))
     assert not line.exists()
+
+
+def test_pgm_from_samples_equals_the_raster_route(tmp_path):
+    grid = RasterGrid(inner_radius=4e-3, outer_radius=10e-3, pixels=48)
+    rng = np.random.default_rng(2)
+    count = np.count_nonzero(grid.mask)
+    img = holography.FringeImage(grid, rng.uniform(0.0, 1.0, count))
+    pmap = PhaseMap(grid, rng.uniform(-np.pi, np.pi, count), 0.0, 60.0)
+    for samples, raster in ((img.samples, img.intensity),
+                            (ioutil.phase_to_unit(pmap.samples),
+                             ioutil.phase_to_unit(pmap.phase))):
+        ioutil.write_pgm(tmp_path / "s.pgm", samples, grid.mask)
+        # the PGM as it was written from a full float raster
+        old = np.zeros(grid.shape, dtype=np.uint8)
+        old[grid.mask] = np.rint(np.clip(raster[grid.mask], 0.0, 1.0)
+                                 * 255.0).astype(np.uint8)
+        header = b"P5\n48 48\n255\n"
+        assert (tmp_path / "s.pgm").read_bytes() == header + old.tobytes()
+    # one sample short of the mask is refused, and nothing is written
+    short = tmp_path / "short.pgm"
+    with pytest.raises(DomainError, match="not one per mask pixel"):
+        ioutil.write_pgm(short, img.samples[1:], grid.mask)
+    assert not short.exists()
 
 
 def test_quantize_endpoints():

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 from scipy.special import j0, jn_zeros
 
 from statorlab import holography
-from statorlab.errors import DomainError, UnwrapError
+from statorlab.errors import DomainError, GridMismatchError, UnwrapError
 from statorlab.grids import DisplacementField, RasterGrid, RingGrid
-from statorlab.holography import (OpticalConfig, PhaseMap,
+from statorlab.holography import (FringeImage, OpticalConfig, PhaseMap,
                                   first_dark_fringe_amplitude, stroboscopic,
                                   time_averaged, unwrap_to_displacement,
                                   wrap_phase)
@@ -133,7 +133,8 @@ def test_time_averaged_far_range_matches_scipy():
 
 def test_time_averaged_masks_invalid_pixels(optics):
     grid = RasterGrid(inner_radius=4e-3, outer_radius=10e-3, pixels=32)
-    img = time_averaged(DisplacementField(grid, np.zeros(grid.shape)), optics)
+    still = np.zeros(grid.shape)[grid.mask]
+    img = time_averaged(DisplacementField(grid, still), optics)
     assert np.all(img.intensity[~grid.mask] == 0.0)
     assert np.all(img.intensity[grid.mask] == 1.0)
 
@@ -162,7 +163,6 @@ def test_stroboscopic_grid_and_noise_rules(optics):
     ring = RingGrid(radius=12e-3, count=64)
     other = RingGrid(radius=12e-3, count=65)
     a = DisplacementField(ring, np.zeros(64))
-    from statorlab.errors import GridMismatchError
     with pytest.raises(GridMismatchError):
         stroboscopic(a, DisplacementField(other, np.zeros(65)), optics)
     noisy = OpticalConfig(noise_sigma=0.05)
@@ -220,8 +220,8 @@ def test_unwrap_raster_route(optics):
     values = np.zeros(grid.shape)
     m = grid.mask
     values[m] = amp * np.sin(4 * grid.theta[m]) * (grid.r[m] / 15e-3)
-    zero = DisplacementField(grid, np.zeros(grid.shape))
-    pm = stroboscopic(zero, DisplacementField(grid, values), optics)
+    zero = DisplacementField(grid, np.zeros(grid.shape)[m])
+    pm = stroboscopic(zero, DisplacementField(grid, values[m]), optics)
     out = unwrap_to_displacement(pm, optics, radius=12e-3)
     assert isinstance(out.grid, RingGrid)
     truth = amp * (12e-3 / 15e-3) * np.sin(4 * out.grid.theta)
@@ -239,9 +239,9 @@ def test_unwrap_raster_equals_full_map_phasors(optics, count):
     values = np.zeros(grid.shape)
     m = grid.mask
     values[m] = amp * np.sin(4 * grid.theta[m] + 0.3) * (grid.r[m] / 15e-3)
-    zero = DisplacementField(grid, np.zeros(grid.shape))
+    zero = DisplacementField(grid, np.zeros(grid.shape)[m])
     noisy = OpticalConfig(noise_sigma=0.05)
-    pm = stroboscopic(zero, DisplacementField(grid, values), noisy,
+    pm = stroboscopic(zero, DisplacementField(grid, values[m]), noisy,
                       rng=np.random.default_rng(3))
     got = unwrap_to_displacement(pm, noisy, radius=12e-3, count=count)
     # the cos/sin of the whole phase map, sampled, then the angle
@@ -258,7 +258,7 @@ def test_unwrap_raster_equals_full_map_phasors(optics, count):
 @pytest.mark.parametrize("count", [0, 7])
 def test_raster_unwrap_refuses_too_few_samples(optics, count):
     grid = RasterGrid(inner_radius=3.75e-3, outer_radius=15e-3, pixels=64)
-    pm = PhaseMap(grid, np.zeros(grid.shape), 0.0, 60.0)
+    pm = PhaseMap(grid, np.zeros(grid.shape)[grid.mask], 0.0, 60.0)
     with pytest.raises(DomainError, match=f"must be >= 8, got {count}"):
         unwrap_to_displacement(pm, optics, radius=12e-3, count=count)
     # only a count left out takes the default
@@ -284,6 +284,36 @@ def test_phase_map_validation():
     ring = RingGrid(radius=12e-3, count=16)
     with pytest.raises(DomainError):
         PhaseMap(ring, np.full(16, 4.0), 0.0, 60.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -0.5, 1.5])
+def test_fringe_image_refuses_a_sample_outside_the_unit_range(bad):
+    ring = RingGrid(radius=12e-3, count=16)
+    samples = np.full(16, 0.5)
+    samples[3] = bad
+    with pytest.raises(DomainError, match="outside"):
+        FringeImage(ring, samples)
+    # the end points are in range
+    FringeImage(ring, np.linspace(0.0, 1.0, 16))
+
+
+@pytest.mark.parametrize("record,raster", [
+    (DisplacementField, "values"),
+    (FringeImage, "intensity"),
+    (lambda grid, s: PhaseMap(grid, s, 0.0, 60.0), "phase"),
+], ids=["field", "fringes", "phase"])
+def test_records_hold_one_sample_per_masked_pixel(record, raster):
+    grid = RasterGrid(inner_radius=4e-3, outer_radius=10e-3, pixels=32)
+    image = np.zeros(grid.shape)
+    image[grid.mask] = np.linspace(0.1, 0.9, np.count_nonzero(grid.mask))
+    rec = record(grid, image[grid.mask])
+    # each read forms a new raster with the samples on the mask, 0 off it
+    first = getattr(rec, raster)
+    assert np.array_equal(first, image)
+    assert first is not getattr(rec, raster)
+    for wrong in (image, image[grid.mask][1:]):
+        with pytest.raises(GridMismatchError, match="masked samples"):
+            record(grid, wrong)
 
 
 @pytest.mark.parametrize("block", [1000, 10 ** 6])

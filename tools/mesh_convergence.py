@@ -50,7 +50,7 @@ def _answers(radial_nodes: int):
         if n >= 1:
             drive_n = replace(drive, drive_frequency=basis.frequency_for(n),
                               electrode_harmonic=n)
-            envelopes[n] = steady_envelope(basis, drive_n, grid).values[grid.mask]
+            envelopes[n] = steady_envelope(basis, drive_n, grid).samples
     return basis.frequencies, envelopes
 
 
