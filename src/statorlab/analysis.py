@@ -8,7 +8,7 @@ reparametrization a sin(n theta) + b cos(n theta) + delta.  Over the
 whole uniform circle, and with at least 2n + 2 samples (so bin n is
 neither bin 0 nor the Nyquist bin), sin(n theta), cos(n theta) and 1 are
 orthogonal: the least-squares fit is read from one ``rfft`` of the
-sample, and its residual and covariance have closed forms.
+sample.
 
 A strobe-phase sweep is classified by three constants: a traveling wave
 has an amplitude CV below ``CV_THRESHOLD`` and a phase slope within
@@ -110,18 +110,13 @@ def detect_mode_number(sample: CircleSample) -> int:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Parameters of f = A sin(n theta + phi) + delta plus fit quality.
-
-    ``covariance`` holds the diagonal variances in (A, n, phi, delta)
-    order; n is fixed by the caller so its entry is identically zero.
-    """
+    """Parameters of f = A sin(n theta + phi) + delta plus fit quality."""
 
     A: float
     n: int
     phi: float
     delta: float
     rms_residual: float
-    covariance: tuple
 
     def __post_init__(self):
         if self.A < 0.0:
@@ -138,10 +133,8 @@ def fit_eq1(sample: CircleSample, n: int) -> FitResult:
     A = sqrt(a^2+b^2) and phi = atan2(b, a).  The residual is the power
     in every bin but 0 and +-n (Parseval; rfft bins 1 .. ceil(N/2)-1
     stand for their mirror bins too), summed rather than subtracted from
-    the total so it does not cancel.  With sigma^2 = N rms^2 / (N - 3),
-    var delta = sigma^2 / N and var a = var b = var A = 2 sigma^2 / N.
-    When A falls below the amplitude floor the phase is reported as 0 by
-    convention.
+    the total so it does not cancel.  When A falls below the amplitude
+    floor the phase is reported as 0 by convention.
     """
     if n < 1 or int(n) != n:
         raise DomainError(f"harmonic n must be an integer >= 1, got {n}")
@@ -163,18 +156,10 @@ def fit_eq1(sample: CircleSample, n: int) -> FitResult:
     phi = math.atan2(b, a)
     if phi <= -math.pi:
         phi = math.pi
-
-    var_d = rms_residual ** 2 / (count - 3)
-    var_A = 2.0 * var_d
-    floor = max(AMPLITUDE_FLOOR, 1e-12 * max(abs(d), rms_residual))
-    if A < floor:
+    if A < max(AMPLITUDE_FLOOR, 1e-12 * max(abs(d), rms_residual)):
         phi = 0.0
-        var_phi = 0.0
-    else:
-        var_phi = var_A / A ** 2
     return FitResult(A=A, n=int(n), phi=phi, delta=d,
-                     rms_residual=rms_residual,
-                     covariance=(var_A, 0.0, var_phi, var_d))
+                     rms_residual=rms_residual)
 
 
 @dataclass(frozen=True)

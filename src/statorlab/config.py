@@ -22,8 +22,9 @@ import sys
 from .errors import (ELECTRODE_MIN_HARMONIC, J0_FIRST_ZERO, PHASE_LAYOUTS,
                      RASTER_MIN_MARGIN, RASTER_MIN_PIXELS,
                      RING_SAMPLES_PER_HARMONIC, STROBE_DUTY_LIMIT,
-                     STROBE_SPAN_LIMIT_DEG, STROBE_STEP_LIMIT_DEG, ConfigError,
-                     DiscretizationError, GeometryError)
+                     STROBE_SPAN_LIMIT_DEG, STROBE_STEP_LIMIT_DEG,
+                     STROBE_SUBSAMPLES, ConfigError, DiscretizationError,
+                     GeometryError)
 from .geometry import Material, StatorGeometry
 from .modal import Discretization
 
@@ -351,14 +352,16 @@ def _check_strobes(plan: dict):
         raise ConfigError(
             "analysis.strobe_phases_deg: consecutive strobe phases must be "
             f"less than {STROBE_STEP_LIMIT_DEG:g} deg apart, got {phases!r}")
-    # fringes strobes at 0 and the offset, fit at each phase and phase + offset
-    last = max(0.0, max(phases)) + offset
+    # fringes strobes at 0 and the offset, fit at each phase and phase +
+    # offset; each strobe averages instants out to half its window past it
+    half = (1.0 - 1.0 / STROBE_SUBSAMPLES) * 180.0
+    last = max(0.0, max(phases)) + offset + half * plan["optics"]["strobe_duty"]
     if last > STROBE_SPAN_LIMIT_DEG:
         raise ConfigError(
-            "analysis.strobe_offset_deg: the last strobe, max(0, max("
-            f"strobe_phases_deg)) + strobe_offset_deg = {last:g} deg, lies "
-            f"past the {STROBE_SPAN_LIMIT_DEG:g} deg of the run's last two "
-            "drive cycles")
+            "analysis.strobe_offset_deg: the last strobe instant, max(0, max("
+            f"strobe_phases_deg)) + strobe_offset_deg + {half:g} deg x "
+            f"optics.strobe_duty = {last:g} deg, lies past the "
+            f"{STROBE_SPAN_LIMIT_DEG:g} deg of the run's last two drive cycles")
 
 
 def _check_radii(plan: dict):

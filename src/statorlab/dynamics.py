@@ -11,10 +11,11 @@ is carried as a complex analytic amplitude
     q_k(t) = Q_k e^{i w t} + C_k e^{(-alpha_k + i wd_k) t}
 
 whose real part is the physical displacement and whose magnitude is the
-instantaneous envelope.  This closed form is evaluated directly at every
-sample and at any instant in the span, so there is no time stepping, no
-step-size stability limit, and linearity in the drive voltage is
-bit-exact.
+instantaneous envelope.  A trajectory records this closed form, Q and C
+per mode, and its samples; every instant in the span is evaluated from
+Q and C, so there is no time stepping, no step-size stability limit, and
+linearity in the drive voltage is bit-exact.  Only ``probe`` reads the
+samples.
 
 Only driven modes cost anything: ``respond`` starts every mode at rest
 and evaluates only the driven rows, those with Q != 0 (from rest C is
@@ -49,8 +50,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (ELECTRODE_MIN_HARMONIC, PHASE_LAYOUTS, STROBE_DUTY_LIMIT,
-                     STROBE_SPAN_LIMIT_DEG, DomainError, NumericalError,
-                     TimeStepError)
+                     STROBE_SPAN_LIMIT_DEG, STROBE_SUBSAMPLES, DomainError,
+                     NumericalError, TimeStepError)
 from .grids import DisplacementField
 from .modal import (ModalBasis, Mode, angular_patterns, radial_shapes,
                     unit_phasors)
@@ -58,7 +59,6 @@ from .modal import (ModalBasis, Mode, angular_patterns, radial_shapes,
 ENVELOPE_BOUND_SLACK = 1e-9
 # modes x samples of one trajectory: 2^22 complex128 values are 67 MB
 MAX_TRAJECTORY_VALUES = 2 ** 22
-_STROBE_SUBSAMPLES = 8      # instants averaged across an open strobe window
 
 
 @dataclass(frozen=True)
@@ -146,12 +146,13 @@ def _mode_constants(basis: ModalBasis, drive: DriveConfig):
 
 @dataclass(frozen=True)
 class ModalTrajectory:
-    """Complex modal amplitude histories plus analytic steady state."""
+    """The closed form Q e^{i w t} + C e^{(-alpha + i wd) t} per mode and
+    its samples, which only ``probe`` reads."""
 
     times: np.ndarray            # s, uniform, starting at 0
     q: np.ndarray                # complex, shape (n_modes, n_times)
-    steady: np.ndarray           # complex steady-state phasor per mode
-    basis: ModalBasis
+    steady: np.ndarray           # complex steady-state phasor Q per mode
+    transient: np.ndarray        # complex transient amplitude C per mode
     drive: DriveConfig
     alpha: np.ndarray = field(repr=False)
     wd: np.ndarray = field(repr=False)
@@ -168,12 +169,7 @@ class ModalTrajectory:
                 f"time {t} outside trajectory span "
                 f"[{self.times[0]}, {self.times[-1]}]")
         return (self.steady * np.exp(1.0j * self.drive.omega * t)
-                + self._transient * np.exp((-self.alpha + 1.0j * self.wd) * t))
-
-    @property
-    def _transient(self) -> np.ndarray:
-        """Transient amplitude C_k per mode: the state at t = 0 minus Q_k."""
-        return self.q[:, 0] - self.steady
+                + self.transient * np.exp((-self.alpha + 1.0j * self.wd) * t))
 
     def transient_fraction(self, t: float) -> float:
         """Largest transient left at ``t`` relative to the steady state.
@@ -182,7 +178,7 @@ class ModalTrajectory:
         (Q_k != 0); 0 when no mode is driven.
         """
         driven = self.steady != 0.0
-        left = (np.abs(self._transient[driven])
+        left = (np.abs(self.transient[driven])
                 * np.exp(-self.alpha[driven] * t))
         return float(np.max(left / np.abs(self.steady[driven]), initial=0.0))
 
@@ -260,7 +256,7 @@ def respond(basis: ModalBasis, drive: DriveConfig, duration: float,
                              "analytic bound")
     q = np.zeros((len(basis), times.size), dtype=complex)
     q[live] = q_live
-    return ModalTrajectory(times=times, q=q, steady=Q, basis=basis,
+    return ModalTrajectory(times=times, q=q, steady=Q, transient=C,
                            drive=drive, alpha=alpha, wd=wd)
 
 
@@ -411,7 +407,7 @@ def snapshot_at_strobe(basis: ModalBasis, trajectory: ModalTrajectory,
     t = t0 + (strobe_deg / 360.0) * T
     # the field is linear in the state: average the window's states and
     # render once; a closed window (duty 0) averages the single instant t
-    offsets = ((np.arange(_STROBE_SUBSAMPLES) + 0.5) / _STROBE_SUBSAMPLES - 0.5
+    offsets = ((np.arange(STROBE_SUBSAMPLES) + 0.5) / STROBE_SUBSAMPLES - 0.5
                if duty else [0.0])
     state = np.mean([trajectory.state_at(t + f * duty * T).real
                      for f in offsets], axis=0)
@@ -434,11 +430,11 @@ def probe(basis: ModalBasis, trajectory: ModalTrajectory, points,
           band: float = 0.05) -> list:
     """Sample the response at fixed (r, theta) points.
 
-    Only the rows ``respond`` filled are evaluated: their shapes at every
-    point form one table, contracted with the real and imaginary parts of
-    the state.  Settling time per point is the first instant after which
-    the envelope stays within ``band`` (default +-5 percent) of the steady
-    amplitude.
+    Only the rows whose Q or C is non-zero are evaluated, the driven rows
+    ``respond`` fills: their shapes at every point form one table,
+    contracted with the real and imaginary parts of the state.  Settling
+    time per point is the first instant after which the envelope stays
+    within ``band`` (default +-5 percent) of the steady amplitude.
     """
     points = [(r, th) for r, th in points]
     r, theta = np.array(points, dtype=float).reshape(-1, 2).T
@@ -447,7 +443,7 @@ def probe(basis: ModalBasis, trajectory: ModalTrajectory, points,
     if outside.size:
         raise DomainError(f"probe point r={outside[0]} outside the stator "
                           f"(rim {rim:.6g} m)")
-    live = trajectory.q.any(axis=1)
+    live = (trajectory.steady != 0.0) | (trajectory.transient != 0.0)
     modes = [m for m, on in zip(basis, live) if on]
     shapes = radial_shapes(modes, r)
     angular_patterns(modes, unit_phasors(theta), shapes)

@@ -10,6 +10,9 @@ STROBE_STEP_LIMIT_DEG = 180.0
 STROBE_SPAN_LIMIT_DEG = 720.0
 # the widest strobe window, as a fraction of the drive period
 STROBE_DUTY_LIMIT = 0.2
+# instants averaged across an open strobe window, at the centres of its
+# equal slices: the last lies (1 - 1/8) 180 deg x duty past the strobe
+STROBE_SUBSAMPLES = 8
 # the smallest raster (pixels per side, and the imaged half-width as a
 # multiple of the outer radius) and the fewest samples on a ring; a
 # config's ring meets RING_SAMPLES_PER_HARMONIC * ELECTRODE_MIN_HARMONIC

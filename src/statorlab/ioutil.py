@@ -2,9 +2,10 @@
 float32 field dumps with text headers.
 
 Every writer goes through an atomic temp-file + rename so a crashed run
-never leaves a half-written artifact, and every format is byte-stable for
-a given input (fixed float repr, fixed line endings) so repeated runs
-diff clean.
+never leaves a half-written artifact; the artifact gets the mode a plain
+``open`` gives under the umask in force when it is written.  Every format
+is byte-stable for a given input (fixed float repr, fixed line endings)
+so repeated runs diff clean.
 
 CSV tables are written by column: ``write_csv`` takes one sequence per
 header field, formats each numeric column in one pass (every number as
@@ -24,7 +25,6 @@ never reads them back; the dump's header says everything a reader needs
 from __future__ import annotations
 
 import os
-import tempfile
 
 import numpy as np
 
@@ -32,26 +32,23 @@ from .errors import DomainError
 
 FIELD_MAGIC = "statorlab-field 1"
 
-# os.umask can only be read by setting it, which would race with file
-# creation in other threads if done per write, so it is read once here
-_UMASK = os.umask(0)
-os.umask(_UMASK)
-
 
 def atomic_write_bytes(path, data: bytes):
     """Write ``data`` to ``path`` through a unique temp file and a rename.
 
     Concurrent writers each get their own temp file, so the last rename
-    wins whole; the file gets the mode a plain ``open`` would give it.
+    wins whole.  The temp file is created 0666 and the kernel applies the
+    umask in force at that write, so the file gets the mode a plain
+    ``open`` would give it.
     """
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".", dir=directory)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    tmp = f"{path}.{os.urandom(8).hex()}"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL
+                 | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
-        os.chmod(tmp, 0o666 & ~_UMASK)     # mkstemp creates files 0600
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -99,6 +99,6 @@ def trajectory_from():
         q = (Q[:, None] * np.exp(1.0j * drive.omega * times)
              + C[:, None] * np.exp(np.outer(-alpha + 1.0j * wd, times)))
         return dynamics.ModalTrajectory(times=times, q=q, steady=Q,
-                                        basis=basis, drive=drive,
+                                        transient=C, drive=drive,
                                         alpha=alpha, wd=wd)
     return trajectory_from

@@ -168,10 +168,13 @@ def test_damping_overrides_reach_material():
     ("analysis.strobe_phases_deg=[0,200,400]", "less than 180 deg apart"),
     ("analysis.strobe_phases_deg=[0,30,360]", "less than 180 deg apart"),
     # every strobe instant lies in the run's last two drive cycles (720 deg):
-    # fringes strobes at 0 and the offset, fit at each phase and phase + offset
-    ("analysis.strobe_offset_deg=800", "strobe_offset_deg = 950 deg, lies past"),
-    ("analysis.strobe_offset_deg=570.5", "= 720.5 deg, lies past the 720"),
-    ("analysis.strobe_phases_deg=[0,170,340,510,680]", "= 740 deg, lies past"),
+    # fringes strobes at 0 and the offset, fit at each phase and phase +
+    # offset, and each open window reaches 157.5 deg x duty past its strobe
+    ("analysis.strobe_offset_deg=800", "strobe_offset_deg \\+ 157.5 deg x "
+                                       "optics.strobe_duty = 957.875 deg"),
+    ("analysis.strobe_offset_deg=562.5", "= 720.375 deg, lies past the 720"),
+    ("analysis.strobe_phases_deg=[0,170,340,510,680]",
+     "= 747.875 deg, lies past"),
     ("drive.electrode_harmonic=8", "electrode_harmonic 8 lies outside the "
                                    "solved harmonics modal.n_min..n_max = 1..7"),
     ("modal.n_min=5", "electrode_harmonic 4 lies outside"),
@@ -379,6 +382,36 @@ def test_cli_eigen_gate_names_both_levers(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+# each strobe averages 8 instants out to 157.5 deg x the 0.05 duty past it,
+# so with the 150 deg last phase an offset of 562 keeps every instant in
+# the run and 563 does not: refused before any solve, not mid-run
+@pytest.mark.parametrize("offset,code", [(562, 0), (563, 2)])
+def test_cli_strobe_window_must_end_inside_the_run(tmp_path, capsys, offset,
+                                                   code):
+    out = tmp_path / "o"
+    rc = main(["fit", "--out", str(out), "--set", "modal.n_max=4",
+               "--set", "image.pixels=64",
+               "--set", f"analysis.strobe_offset_deg={offset}"])
+    assert rc == code
+    if code:
+        err = capsys.readouterr().err
+        assert err.startswith("config error: analysis.strobe_offset_deg: ")
+        assert "optics.strobe_duty = 720.875 deg, lies past the 720" in err
+        assert not out.exists()
+    else:
+        assert (out / "fit_summary.txt").exists()
+
+
+def test_validate_config_strobe_limit_follows_the_duty():
+    def plan(*overrides):
+        return validate_config(apply_overrides(default_config(), overrides))
+
+    # the widest window reaches 31.5 deg past its strobe, to exactly 720
+    assert plan("optics.strobe_duty=0.2", "analysis.strobe_offset_deg=538.5")
+    with pytest.raises(ConfigError, match="= 721.5 deg, lies past"):
+        plan("optics.strobe_duty=0.2", "analysis.strobe_offset_deg=540")
+
+
 def test_cli_strobes_up_to_the_last_two_cycles_run(tmp_path):
     # 358 + the default 60 deg offset = 418 deg, inside the 720 deg span;
     # 2 ms is shorter than the 3.4 ms settling, so each strobe warns
@@ -391,9 +424,10 @@ def test_cli_strobes_up_to_the_last_two_cycles_run(tmp_path):
     assert (tmp_path / "o" / "fit_summary.txt").exists()
 
 
-# the last strobe exactly at 720 deg, the driven harmonic at either end,
-# a material damping ratio just below critical
-@pytest.mark.parametrize("override", ["analysis.strobe_offset_deg=570",
+# the last strobe instant exactly at 720 deg (150 + 562.125 + 157.5 x the
+# 0.05 duty), the driven harmonic at either end, a material damping ratio
+# just below critical
+@pytest.mark.parametrize("override", ["analysis.strobe_offset_deg=562.125",
                                       "drive.electrode_harmonic=1",
                                       "drive.electrode_harmonic=7",
                                       "material.modal_damping_ratio=0.9995"])

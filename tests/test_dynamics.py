@@ -573,6 +573,28 @@ def test_transient_fraction_without_a_driven_mode(basis, drive):
     assert idle.transient_fraction(0.0) == 0.0
 
 
+@pytest.mark.parametrize("grid", GRIDS, ids=["raster", "ring"])
+def test_only_probe_reads_the_samples(basis, drive, grid):
+    # every other reader evaluates the closed form from Q and C, so zeroing
+    # the samples changes none of their bits; 2 ms is still settling
+    traj = respond(basis, drive, duration=2e-3)
+    blank = dataclasses.replace(traj, q=np.zeros_like(traj.q))
+    for t in (0.0, 0.37e-3, traj.times[-1]):
+        assert np.array_equal(blank.state_at(t), traj.state_at(t))
+        assert blank.transient_fraction(t) == traj.transient_fraction(t)
+    assert traj.transient_fraction(traj.times[-1]) > 0.0
+    for deg, duty in ((0.0, 0.0), (75.0, 0.0), (130.0, 0.2)):
+        assert np.array_equal(
+            snapshot_at_strobe(basis, blank, grid, deg, duty).samples,
+            snapshot_at_strobe(basis, traj, grid, deg, duty).samples)
+    assert np.array_equal(field_envelope(basis, blank, grid).samples,
+                          field_envelope(basis, traj, grid).samples)
+    # the probe histories are the samples themselves
+    point = [(15e-3, 0.0)]
+    assert not probe(basis, blank, point)[0].displacement.any()
+    assert probe(basis, traj, point)[0].displacement.any()
+
+
 def test_snapshot_needs_two_cycles(basis, drive):
     short = respond(basis, drive, duration=1.2 * drive.period)
     ring = RingGrid(radius=15e-3, count=64)

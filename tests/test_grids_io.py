@@ -1,7 +1,9 @@
 import dataclasses
 import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -356,3 +358,29 @@ def test_atomic_write_gives_the_mode_of_a_plain_open(tmp_path):
     plain.write_bytes(b"x")
     ioutil.atomic_write_bytes(tmp_path / "atomic.txt", b"x")
     assert (tmp_path / "atomic.txt").stat().st_mode == plain.stat().st_mode
+
+
+# sets the umask in argv[2] after the import, then prints the modes of an
+# atomic write and of a plain open into the directory in argv[1]
+UMASK_AFTER_IMPORT = """
+import os, sys
+from statorlab import ioutil
+os.umask(int(sys.argv[2], 8))
+ioutil.atomic_write_bytes(os.path.join(sys.argv[1], "atomic"), b"x")
+with open(os.path.join(sys.argv[1], "plain"), "wb") as fh:
+    fh.write(b"x")
+print(*(oct(os.stat(os.path.join(sys.argv[1], name)).st_mode & 0o777)
+        for name in ("atomic", "plain")))
+"""
+
+
+@pytest.mark.parametrize("umask,mode", [("077", "0o600"), ("022", "0o644")])
+def test_atomic_write_reads_the_umask_at_the_write(tmp_path, umask, mode):
+    # a umask set after the import, as a caller's own code sets it, holds
+    # for the artifact as it holds for a plain open
+    src = str(Path(ioutil.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", UMASK_AFTER_IMPORT, str(tmp_path), umask],
+        capture_output=True, text=True, timeout=60, check=True,
+        env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.split() == [mode, mode]

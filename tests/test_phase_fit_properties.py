@@ -150,8 +150,7 @@ def traveling_sweeps(draw):
         # the fitted phase of a traveling wave turns with the strobe phase
         phi = float(wrap_phase(phi0 + direction * math.radians(deg)))
         fits.append((float(deg), FitResult(A=A, n=n, phi=phi, delta=0.0,
-                                           rms_residual=0.0,
-                                           covariance=(0.0,) * 4)))
+                                           rms_residual=0.0)))
     return draw(st.permutations(fits))
 
 
