@@ -16,8 +16,9 @@ reference) inside the functions that call them, so a stage run in a fresh
 interpreter loads only the modules it uses.
 
 Exit codes: 0 success, 2 configuration error (inconsistent geometry or
-material included), 3 numerical/domain error.  The output directory
-comes from the config, overridable by ``--out`` or the ``STATORLAB_OUT``
+material included, and an output path that is not a directory), 3
+numerical/domain error or a failed write.  The output directory comes
+from the config, overridable by ``--out`` or the ``STATORLAB_OUT``
 environment variable.
 """
 
@@ -308,7 +309,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except StatorLabError as exc:
+    except (StatorLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

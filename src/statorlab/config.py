@@ -17,6 +17,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import os
 import sys
 
 from .errors import (ELECTRODE_MIN_HARMONIC, J0_FIRST_ZERO, PHASE_LAYOUTS,
@@ -397,7 +398,11 @@ def validate_config(cfg: dict) -> dict:
         modal["discretization"] = Discretization(modal.pop("radial_nodes"))
     except (GeometryError, DiscretizationError) as exc:
         raise ConfigError(str(exc)) from None
-    plan["output_dir"] = plan.pop("output")["directory"]
+    out = plan["output_dir"] = plan.pop("output")["directory"]
+    # refused here, not by the first write after the whole solve
+    if os.path.exists(out) and not os.path.isdir(out):
+        raise ConfigError(
+            f"output.directory: {out!r} exists and is not a directory")
     for cross_check in (_check_harmonics, _check_optics, _check_strobes,
                         _check_radii):
         cross_check(plan)

@@ -15,22 +15,24 @@ instantaneous envelope.  A trajectory records this closed form, Q and C
 per mode, and its samples; every instant in the span is evaluated from
 Q and C, so there is no time stepping, no step-size stability limit, and
 linearity in the drive voltage is bit-exact.  Only ``probe`` reads the
-samples.
+samples.  A trajectory is a plain record and holds no cache;
+``state_at`` evaluates one instant or an array of them in one
+expression, so a strobe window's instants are read in one call.
 
 Only driven modes cost anything: ``respond`` starts every mode at rest
 and evaluates only the driven rows, those with Q != 0 (from rest C is
 zero exactly when Q is); a probe reads only those rows, and a field
 render contracts over the modes whose state is non-zero (its live
 modes).  Probes and renders alike contract the real and imaginary parts
-of the state with real shape tables.  Each trajectory keeps one shape
-table per (grid, live modes): renders on one grid with the same live
-modes, such as its envelope and its strobe snapshots, evaluate the shapes
-once, and W(r) is evaluated once per distinct radius of the grid.  The
-angular patterns cos(n theta) and sin(n theta) are the real and imaginary
-parts of e^{i n theta}, powered block by block from the grid's stored
-e^{i theta} (``grid.unit``) by ``modal.angular_patterns``, with no trig
-call; probes, renders and ``Mode.angular`` share that one routine, so a
-sample's shape has the same bits whichever of them evaluates it.
+of the state with real shape tables.  Every render takes its table from
+the grid (``grid.shapes``), which keeps the last one it built: renders on
+one grid with the same live modes, such as its envelope and its strobe
+snapshots, evaluate the shapes once, whichever trajectory they read.
+The angular patterns cos(n theta) and sin(n theta) are the real and
+imaginary parts of e^{i n theta}, powered by ``modal.angular_patterns``
+with no trig call; probes, grids and ``Mode.angular`` share that one
+routine, so a sample's shape has the same bits whichever of them
+evaluates it.
 ``respond`` evaluates each distinct decay exponent once: the two modes of
 a cos/sin pair share theirs.
 Every render yields the masked samples of the grid, which the field
@@ -147,7 +149,8 @@ def _mode_constants(basis: ModalBasis, drive: DriveConfig):
 @dataclass(frozen=True)
 class ModalTrajectory:
     """The closed form Q e^{i w t} + C e^{(-alpha + i wd) t} per mode and
-    its samples, which only ``probe`` reads."""
+    its samples, which only ``probe`` reads: a plain record, holding no
+    cache, so ``dataclasses.replace`` gives an equal one."""
 
     times: np.ndarray            # s, uniform, starting at 0
     q: np.ndarray                # complex, shape (n_modes, n_times)
@@ -156,18 +159,17 @@ class ModalTrajectory:
     drive: DriveConfig
     alpha: np.ndarray = field(repr=False)
     wd: np.ndarray = field(repr=False)
-    # (grid, ids of the live modes) -> (those modes, their shapes on the
-    # grid's masked samples); holding the modes keeps their ids from being
-    # reused.  Never copied by dataclasses.replace
-    _shape_tables: dict = field(default_factory=dict, init=False, repr=False,
-                                compare=False)
 
-    def state_at(self, t: float) -> np.ndarray:
-        """Complex modal state at an arbitrary time inside the span (exact)."""
-        if not self.times[0] <= t <= self.times[-1] * (1 + 1e-12):
+    def state_at(self, t) -> np.ndarray:
+        """Complex modal state at a time, or an array of times, inside the
+        span (exact): shape (modes,), or (..., modes) for an array."""
+        t = np.asarray(t, dtype=float)[..., None]
+        lo, hi = self.times[0], self.times[-1]
+        # a NaN instant fails both comparisons, so it is refused too
+        outside = t[~((lo <= t) & (t <= hi * (1 + 1e-12)))]
+        if outside.size:
             raise DomainError(
-                f"time {t} outside trajectory span "
-                f"[{self.times[0]}, {self.times[-1]}]")
+                f"time {outside[0]} outside trajectory span [{lo}, {hi}]")
         return (self.steady * np.exp(1.0j * self.drive.omega * t)
                 + self.transient * np.exp((-self.alpha + 1.0j * self.wd) * t))
 
@@ -181,17 +183,6 @@ class ModalTrajectory:
         left = (np.abs(self.transient[driven])
                 * np.exp(-self.alpha[driven] * t))
         return float(np.max(left / np.abs(self.steady[driven]), initial=0.0))
-
-    def _shapes_on(self, grid, modes: tuple) -> np.ndarray:
-        """Shapes of ``modes`` on the masked samples of ``grid``.
-
-        Built by ``_mode_shapes_on`` once per (grid, modes) pair and kept
-        for every later render of the same live modes on an equal grid.
-        """
-        key = (grid, tuple(map(id, modes)))
-        if key not in self._shape_tables:
-            self._shape_tables[key] = (modes, _mode_shapes_on(modes, grid))
-        return self._shape_tables[key][1]
 
 
 def respond(basis: ModalBasis, drive: DriveConfig, duration: float,
@@ -318,39 +309,17 @@ def calibrate_force_per_volt(basis: ModalBasis, drive: DriveConfig,
             "the drive force to zero") from None
 
 
-def _mode_shapes_on(modes, grid) -> np.ndarray:
-    """Shapes of ``modes`` on the masked samples of ``grid``, one row each.
-
-    W(r) is evaluated once per distinct radius (``grid.radii``) and
-    gathered to the samples through ``grid.radius_index``; each row is
-    then multiplied in place by its mode's angular pattern, powered block
-    by block from the grid's stored e^{i theta} (``grid.unit``) by
-    ``angular_patterns``.  Every value equals ``W(r) * angular(theta)``
-    evaluated sample by sample.
-    """
-    shapes = np.take(radial_shapes(modes, grid.radii), grid.radius_index,
-                     axis=1)
-    angular_patterns(modes, grid.unit, shapes)
-    return shapes
-
-
-def _render(basis: ModalBasis, grid, state: np.ndarray,
-            trajectory: ModalTrajectory | None = None) -> np.ndarray:
+def _render(basis: ModalBasis, grid, state: np.ndarray) -> np.ndarray:
     """sum_k state_k Phi_k at the masked samples of the grid, or its
     magnitude for a complex ``state``.
 
-    Only modes with a non-zero state are evaluated: through the shape
-    table ``trajectory`` keeps for ``grid`` and those modes, or afresh
-    without one.  A complex state contracts its real and imaginary parts
-    with the real shape table and takes the magnitude, so the table stays
-    real.
+    Only modes with a non-zero state are evaluated, through the table the
+    grid holds for them (with none live, an empty table gives zeros).  A
+    complex state contracts its real and imaginary parts with the real
+    shape table and takes the magnitude, so the table stays real.
     """
     live = np.flatnonzero(state)
-    if not live.size:
-        return np.zeros(grid.unit.size)
-    modes = tuple(basis.modes[k] for k in live)
-    shapes = (_mode_shapes_on(modes, grid) if trajectory is None
-              else trajectory._shapes_on(grid, modes))
+    shapes = grid.shapes([basis.modes[k] for k in live])
     if np.iscomplexobj(state):
         re, im = np.stack([state[live].real, state[live].imag]) @ shapes
         return np.hypot(re, im, out=re)
@@ -361,7 +330,7 @@ def field_at(basis: ModalBasis, trajectory: ModalTrajectory, t: float,
              grid) -> DisplacementField:
     """Instantaneous displacement field: sum_k Re[q_k(t)] Phi_k at the
     masked samples of ``grid``."""
-    samples = _render(basis, grid, trajectory.state_at(t).real, trajectory)
+    samples = _render(basis, grid, trajectory.state_at(t).real)
     return DisplacementField(grid, samples, time=t)
 
 
@@ -370,7 +339,7 @@ def field_envelope(basis: ModalBasis, trajectory: ModalTrajectory,
     """Steady-state vibration envelope |sum_k Q_k Phi_k| per sample, from
     the trajectory's steady phasors, stamped with its end time."""
     return DisplacementField(
-        grid, _render(basis, grid, trajectory.steady, trajectory),
+        grid, _render(basis, grid, trajectory.steady),
         time=trajectory.times[-1])
 
 
@@ -394,24 +363,30 @@ def snapshot_at_strobe(basis: ModalBasis, trajectory: ModalTrajectory,
     drive cycles before the trajectory end, ``STROBE_SPAN_LIMIT_DEG`` wide
     (steady state by then for any sensible run length).  ``duty`` > 0
     averages 8 evenly spaced instants across the open window, modeling a
-    finite strobe exposure; the default is the instantaneous (duty -> 0)
-    model.
+    finite strobe exposure, read in one ``state_at`` call; the default is
+    the instantaneous (duty -> 0) model.  A window whose first instant
+    precedes the run's start is refused, naming the config keys that set
+    it.
     """
     if not 0.0 <= duty <= STROBE_DUTY_LIMIT:
         raise DomainError(
             f"strobe duty must be in [0, {STROBE_DUTY_LIMIT:g}], got {duty}")
     T = trajectory.drive.period
-    t0 = trajectory.times[-1] - (STROBE_SPAN_LIMIT_DEG / 360.0) * T
-    if t0 < trajectory.times[0]:
-        raise DomainError("trajectory shorter than two drive cycles")
-    t = t0 + (strobe_deg / 360.0) * T
+    t = (trajectory.times[-1] - (STROBE_SPAN_LIMIT_DEG / 360.0) * T
+         + (strobe_deg / 360.0) * T)
     # the field is linear in the state: average the window's states and
-    # render once; a closed window (duty 0) averages the single instant t
+    # render once; a closed window (duty 0) averages the single instant t,
+    # and instants[0] is the window's first
     offsets = ((np.arange(STROBE_SUBSAMPLES) + 0.5) / STROBE_SUBSAMPLES - 0.5
-               if duty else [0.0])
-    state = np.mean([trajectory.state_at(t + f * duty * T).real
-                     for f in offsets], axis=0)
-    return DisplacementField(grid, _render(basis, grid, state, trajectory), time=t)
+               if duty else np.zeros(1))
+    instants = t + offsets * duty * T
+    if instants[0] < trajectory.times[0]:
+        raise DomainError(
+            f"the strobe window at {strobe_deg:g} deg opens at "
+            f"{instants[0]:.6g} s, before the run starts: drive.duration is "
+            "too short for analysis.strobe_phases_deg and optics.strobe_duty")
+    state = np.mean(trajectory.state_at(instants).real, axis=0)
+    return DisplacementField(grid, _render(basis, grid, state), time=t)
 
 
 @dataclass(frozen=True)
@@ -548,14 +523,13 @@ def mixed_response(basis: ModalBasis, external: ExternalMode,
                             drive.drive_frequency)
     w_e = lorentzian_weight(external.frequency, external.damping_ratio,
                             drive.drive_frequency)
-    pat_m = _mode_shapes_on((mode,), grid)[0]
-    pat_e = np.array(external.shape(grid.r[grid.mask], grid.theta[grid.mask]),
-                     dtype=float)
-    for p in (pat_m, pat_e):
-        peak = np.max(np.abs(p))
-        if peak < 1e-300:
-            raise NumericalError("degenerate (all-zero) pattern in mixed response")
-        p /= peak
+    pats = (grid.shapes((mode,))[0], np.array(
+        external.shape(grid.r[grid.mask], grid.theta[grid.mask]), dtype=float))
+    peaks = [np.max(np.abs(p)) for p in pats]
+    if any(peak < 1e-300 for peak in peaks):
+        raise NumericalError("degenerate (all-zero) pattern in mixed response")
+    # into new arrays: the grid's table is read-only
+    pat_m, pat_e = (p / peak for p, peak in zip(pats, peaks))
     total = w_m + w_e
     samples = (w_m * pat_m + w_e * pat_e) / total
     return MixedResponse(field=DisplacementField(grid, samples),

@@ -4,16 +4,18 @@ Both grid flavors inherit one sample surface from ``_Samples`` and fill
 it in one routine.  It stores the per-sample ``mask``; ``radii``, the
 distinct radii of the masked samples in ascending order (from
 ``np.unique``); ``radius_index``, each masked sample's position in it, so
-``radii[radius_index]`` is ``r[mask]`` and a function of the radius alone
-is evaluated once per distinct radius; and ``unit``, e^{i theta} at each
-masked sample, from ``np.cos`` and ``np.sin`` of ``theta[mask]``, from
-which ``modal`` forms every angular pattern cos(n theta), sin(n theta) by
-complex powering.  The full-sample ``r`` and ``theta`` are not stored:
-each is a property that recomputes the grid's expression on every read.
-None of these arrays take part in equality or hashing; two grids are
-the same grid when their defining fields are equal, which is the test
-``require_same_grid`` applies and the key a trajectory's shape tables
-use.  Each flavor also has ``shape``:
+``radii[radius_index]`` is ``r[mask]``; and ``unit``, e^{i theta} at each
+masked sample, from ``np.cos`` and ``np.sin`` of ``theta[mask]``.  Only
+this module reads them: ``shapes`` builds the table of mode shapes on the
+masked samples from them, W(r) once per distinct radius gathered to the
+samples, times cos(n theta) or sin(n theta) powered from ``unit`` by
+``modal.angular_patterns``.  A grid holds the one table it last built,
+read-only, and hands it back while it is asked for the same modes.  The
+full-sample ``r`` and ``theta`` are not stored: each is a property that
+recomputes the grid's expression on every read.  None of these arrays
+take part in equality or hashing; two grids are the same grid when their
+defining fields are equal, which is the test ``require_same_grid``
+applies.  Each flavor also has ``shape``:
 
 * ``RasterGrid``: a square camera-style image in Cartesian pixel layout,
   with polar coordinates per pixel and an annulus validity mask.  This is
@@ -45,27 +47,51 @@ import numpy as np
 
 from .errors import (RASTER_MIN_MARGIN, RASTER_MIN_PIXELS, RING_MIN_COUNT,
                      DomainError, GridMismatchError)
-from .modal import unit_phasors
+from .modal import angular_patterns, radial_shapes, unit_phasors
 
 
 @dataclass(frozen=True)
 class _Samples:
     """The sample surface both grids fill: the per-sample ``mask``, the
-    distinct masked radii with each masked sample's index into them, and
-    e^{i theta} at each masked sample.  None of it takes part in equality,
-    hashing or ``repr``."""
+    distinct masked radii with each masked sample's index into them,
+    e^{i theta} at each masked sample, and the last shape table built from
+    them.  None of it takes part in equality, hashing or ``repr``."""
 
     mask: np.ndarray = field(init=False, repr=False, compare=False)
     radii: np.ndarray = field(init=False, repr=False, compare=False)
     radius_index: np.ndarray = field(init=False, repr=False, compare=False)
     unit: np.ndarray = field(init=False, repr=False, compare=False)
+    # None, or (modes, their read-only shapes); holding the modes keeps
+    # the ids ``shapes`` compares from being reused
+    _table: tuple | None = field(init=False, repr=False, compare=False)
 
     def _fill(self, r: np.ndarray, mask: np.ndarray):
         radii, radius_index = np.unique(r[mask], return_inverse=True)
         for name, value in (("mask", mask), ("radii", radii),
                             ("radius_index", radius_index),
-                            ("unit", unit_phasors(self.theta[mask]))):
+                            ("unit", unit_phasors(self.theta[mask])),
+                            ("_table", None)):
             object.__setattr__(self, name, value)
+
+    def shapes(self, modes) -> np.ndarray:
+        """The shapes of ``modes`` on the masked samples, one row per mode,
+        read-only.
+
+        W(r) is evaluated once per distinct radius and gathered to the
+        samples; each row is then multiplied by its mode's angular pattern,
+        powered from ``unit``.  Every value equals ``W(r) * angular(theta)``
+        evaluated sample by sample.  The grid keeps the last table: a call
+        with the same modes, each the same object, returns it, and a call
+        with other modes drops it before building theirs.
+        """
+        if self._table is None or [*map(id, self._table[0])] != [*map(id, modes)]:
+            object.__setattr__(self, "_table", None)
+            table = np.take(radial_shapes(modes, self.radii),
+                            self.radius_index, axis=1)
+            angular_patterns(modes, self.unit, table)
+            table.flags.writeable = False
+            object.__setattr__(self, "_table", (tuple(modes), table))
+        return self._table[1]
 
     def raster(self, samples: np.ndarray) -> np.ndarray:
         """A new float array of the grid's shape holding ``samples`` (one

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from statorlab import reference
+from statorlab import cli, reference
 from statorlab.cli import _solve_basis, main
 from statorlab.config import (DEFAULT_CONFIG, apply_overrides, default_config,
                               deep_merge, load_config, validate_config)
@@ -309,7 +309,8 @@ def test_cli_harmonics_past_the_notch_limit_are_config_error(tmp_path,
      "lies past the 720 deg"),
     ("respond", "drive.electrode_harmonic=9", 2,
      "electrode_harmonic 9 lies outside"),
-    ("fringes", "drive.duration=1e-4", 3, "shorter than two drive cycles"),
+    ("fringes", "drive.duration=1e-4", 3,
+     "before the run starts: drive.duration is too short"),
     # a settling time this short needs a damping ratio past critical
     ("respond", "analysis.settling_time_target=1e-6", 2,
      "config error: analysis.settling_time_target: settling in 1e-06 s at the "
@@ -422,6 +423,31 @@ def test_cli_strobes_up_to_the_last_two_cycles_run(tmp_path):
     assert rc == 0
     assert len(caught) == 3
     assert (tmp_path / "o" / "fit_summary.txt").exists()
+
+
+# a strobe window opens at its phase less half its width, which must not
+# precede the run's start: at 0.3 ms the -700 deg window opens 0.087 ms
+# before it (it used to fail in the trajectory, naming no key), at the
+# default 8 ms a -30 deg one opens well inside the run
+@pytest.mark.parametrize("overrides,code", [
+    (["analysis.strobe_phases_deg=[-30,0,30]"], 0),
+    (["modal.n_max=4", "image.pixels=64", "drive.duration=0.0003",
+      "analysis.strobe_phases_deg=[-700,-600,-500]"], 3),
+], ids=["default_duration-0", "short_run-3"])
+def test_cli_strobe_window_must_open_inside_the_run(tmp_path, capsys,
+                                                    overrides, code):
+    out = tmp_path / "o"
+    rc = main(["fit", "--out", str(out),
+               *[arg for o in overrides for arg in ("--set", o)]])
+    assert rc == code
+    if code:
+        assert capsys.readouterr().err == (
+            "error: the strobe window at -700 deg opens at -8.68864e-05 s, "
+            "before the run starts: drive.duration is too short for "
+            "analysis.strobe_phases_deg and optics.strobe_duty\n")
+        assert not out.exists()
+    else:
+        assert (out / "fit_summary.txt").exists()
 
 
 # the last strobe instant exactly at 720 deg (150 + 562.125 + 157.5 x the
@@ -628,6 +654,36 @@ def test_cli_radial_profiles_are_plain_floats(tmp_path):
             assert len(fields) == 3, line
             rows.append([float(f) for f in fields])
     assert next(modes, None) is None
+
+
+def test_cli_output_path_that_is_a_file_is_config_error(tmp_path, capsys,
+                                                       monkeypatch):
+    # it used to solve the basis, then die in the first write with a traceback
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    solved = []
+    monkeypatch.setattr(cli, "_solve_basis", solved.append)
+    rc = main(["modes", "--out", str(taken)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"config error: output.directory: {str(taken)!r} exists and is not a "
+        "directory\n")
+    assert solved == []
+    assert taken.read_text() == "kept"
+
+
+def test_cli_failed_write_is_one_error_line(tmp_path, capsys):
+    # a directory below a file passes validation; its write fails after the
+    # solve and is reported, without a traceback
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    rc = main(["modes", "--out", str(taken / "o"), *LIGHT])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(taken / "o") in err
+    assert err.count("\n") == 1
+    assert taken.read_text() == "kept"
 
 
 def test_cli_out_precedence(tmp_path, monkeypatch):

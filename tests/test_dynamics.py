@@ -1,9 +1,10 @@
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
 
-from statorlab import dynamics
+from statorlab import dynamics, grids
 from statorlab.dynamics import (DriveConfig, ExternalMode, _mode_constants,
                                 calibrate_force_per_volt, field_at,
                                 field_envelope, lateral_mode_proxy,
@@ -26,6 +27,20 @@ def drive(basis):
 @pytest.fixture(scope="module")
 def traj(basis, drive):
     return respond(basis, drive, duration=8e-3)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The row count of every shape table a grid builds, in order."""
+    calls = []
+    build = grids.radial_shapes
+
+    def counted(modes, r):
+        calls.append(len(modes))
+        return build(modes, r)
+
+    monkeypatch.setattr(grids, "radial_shapes", counted)
+    return calls
 
 
 def test_drive_config_validation():
@@ -310,8 +325,8 @@ def _full_render(basis, grid, state):
 
 def _renders_and_references(basis, traj, grid):
     """(rendered, full-basis reference) for the steady envelope, the
-    magnitude of the complex state at a given t (rendered through the
-    trajectory's table), an instantaneous and a finite-duty strobe."""
+    magnitude of the complex state at a given t, an instantaneous and a
+    finite-duty strobe."""
     T = traj.drive.period
     t_mid = 0.5 * traj.times[-1]
     t_strobe = traj.times[-1] - 2 * T + 0.25 * T
@@ -321,7 +336,7 @@ def _renders_and_references(basis, traj, grid):
     return [
         (field_envelope(basis, traj, grid).values,
          np.abs(_full_render(basis, grid, traj.steady))),
-        (grid.raster(dynamics._render(basis, grid, traj.state_at(t_mid), traj)),
+        (grid.raster(dynamics._render(basis, grid, traj.state_at(t_mid))),
          np.abs(_full_render(basis, grid, traj.state_at(t_mid)))),
         (snapshot_at_strobe(basis, traj, grid, 90.0).values,
          _full_render(basis, grid, traj.state_at(t_strobe).real)),
@@ -332,6 +347,11 @@ def _renders_and_references(basis, traj, grid):
 
 GRIDS = [RasterGrid(inner_radius=3.75e-3, outer_radius=15e-3, pixels=64),
          RingGrid(radius=14e-3, count=90)]
+
+
+def _fresh(grid):
+    """An equal grid that holds no shape table yet."""
+    return dataclasses.replace(grid)
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=["raster", "ring"])
@@ -353,18 +373,20 @@ def test_live_mode_render_matches_full_basis(basis, drive, split_pair,
         assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
-def test_undriven_rows_are_exact_zeros(basis, drive, traj):
+def test_undriven_rows_are_exact_zeros(basis, drive, traj, builds):
     driven = np.array([m.n == 4 for m in basis])
     assert np.all(traj.q[~driven] == 0.0)
     assert np.all(np.abs(traj.q[driven, 1:]) > 0.0)
-    # with no live mode at all, renders are zero and evaluate no shape
+    # with no live mode at all, renders are zero and evaluate no shape:
+    # the one table built has no rows
     rest = respond(basis, dataclasses.replace(drive, force_per_volt=0.0),
                    duration=4e-3)
-    ring = GRIDS[1]
+    ring = _fresh(GRIDS[1])
     assert not rest.q.any()
     assert not field_envelope(basis, rest, ring).values.any()
     assert not snapshot_at_strobe(basis, rest, ring, 30.0).values.any()
-    assert rest._shape_tables == {}
+    assert builds == [0]
+    assert ring.shapes(()).shape == (0, 90)
 
 
 @pytest.mark.parametrize("grid", [
@@ -378,8 +400,7 @@ def test_shapes_per_distinct_radius_equal_per_sample_formula(basis, grid):
     for modes in (tuple(basis.select(4)), tuple(basis.modes)):
         per_sample = radial_shapes(modes, r) * np.stack(
             [m.angular(theta) for m in modes])
-        assert np.array_equal(dynamics._mode_shapes_on(modes, grid),
-                              per_sample)
+        assert np.array_equal(grid.shapes(modes), per_sample)
 
 
 def test_envelope_bound_guard_catches_a_growing_transient(basis, drive,
@@ -424,102 +445,80 @@ def test_overflowing_drive_is_refused_before_sampling(basis, drive):
         steady_envelope(basis, loud, GRIDS[1])
 
 
-def test_shapes_evaluated_once_per_trajectory_and_grid(basis, drive,
-                                                       monkeypatch):
-    calls = []
-    evaluate = dynamics._mode_shapes_on
-
-    def counted(modes, grid):
-        calls.append(len(modes))
-        return evaluate(modes, grid)
-
-    monkeypatch.setattr(dynamics, "_mode_shapes_on", counted)
+def test_shapes_evaluated_once_per_trajectory_and_grid(basis, drive, builds):
     traj = respond(basis, drive, duration=4e-3)
-    raster, ring = GRIDS
+    raster, ring = map(_fresh, GRIDS)
     first = field_envelope(basis, traj, raster).values
     snapshot_at_strobe(basis, traj, raster, 0.0)
     snapshot_at_strobe(basis, traj, raster, 60.0, duty=0.2)
     again = field_envelope(basis, traj, raster).values
     assert np.array_equal(first, again)
-    assert calls == [2]          # the two driven modes, once
+    assert builds == [2]         # the two driven modes, once
     field_envelope(basis, traj, ring)
-    assert calls == [2, 2]
-    # an equal grid built anew hits the same table
+    assert builds == [2, 2]
+    # the table is the grid's: a copy of the trajectory reads it, and an
+    # equal grid built anew builds its own
+    field_envelope(basis, dataclasses.replace(traj), ring)
+    assert builds == [2, 2]
     field_envelope(basis, traj, RingGrid(radius=14e-3, count=90))
-    assert calls == [2, 2]
+    assert builds == [2, 2, 2]
 
 
 def test_alternating_live_sets_share_one_table(basis, drive, trajectory_from,
-                                               monkeypatch):
-    calls = []
-    evaluate = dynamics._mode_shapes_on
-
-    def counted(modes, grid):
-        calls.append(len(modes))
-        return evaluate(modes, grid)
-
-    monkeypatch.setattr(dynamics, "_mode_shapes_on", counted)
+                                               builds):
     rng = np.random.default_rng(11)
     initial = 1e-9 * (rng.standard_normal(len(basis))
                       + 1j * rng.standard_normal(len(basis)))
     # the steady envelope has the 2 driven modes live, a strobe all 14
     traj = trajectory_from(basis, drive, 4e-3, initial)
-    ring = GRIDS[1]
+    ring = _fresh(GRIDS[1])
     renders = [lambda t: field_envelope(basis, t, ring),
                lambda t: snapshot_at_strobe(basis, t, ring, 30.0)] * 2
     got = [render(traj).values for render in renders]
-    assert calls == [2, 14]
-    # a copy of the trajectory starts with no table, so each render builds
-    # one for exactly its own modes
+    # the grid holds one table: each other live set replaces it
+    assert builds == [2, 14, 2, 14]
+    # a copy of the trajectory renders the same bits the same way
     for render, values in zip(renders, got):
         assert np.array_equal(values, render(dataclasses.replace(traj)).values)
-    assert calls == [2, 14, 2, 14, 2, 14]
+    assert builds == [2, 14] * 4
 
 
 def test_strobe_then_envelope_build_one_table_each(basis, drive,
-                                                   trajectory_from,
-                                                   monkeypatch):
-    calls = []
-    evaluate = dynamics._mode_shapes_on
-
-    def counted(modes, grid):
-        calls.append(len(modes))
-        return evaluate(modes, grid)
-
-    monkeypatch.setattr(dynamics, "_mode_shapes_on", counted)
+                                                   trajectory_from, builds):
     rng = np.random.default_rng(11)
     initial = 1e-9 * (rng.standard_normal(len(basis))
                       + 1j * rng.standard_normal(len(basis)))
     # the strobe has all 14 modes live, then the steady envelope the 2
-    # driven ones: each live set gets its own table on the grid
+    # driven ones: each live set builds its own table on the grid
     traj = trajectory_from(basis, drive, 4e-3, initial)
-    raster = GRIDS[0]
+    raster = _fresh(GRIDS[0])
     strobe = snapshot_at_strobe(basis, traj, raster, 30.0)
     envelope = field_envelope(basis, traj, raster)
-    assert calls == [14, 2]
-    assert np.array_equal(snapshot_at_strobe(basis, traj, raster, 30.0).samples,
-                          strobe.samples)
+    assert builds == [14, 2]
     assert np.array_equal(field_envelope(basis, traj, raster).samples,
                           envelope.samples)
-    assert calls == [14, 2]
-    # both equal renders from shapes evaluated afresh, without a table
+    assert builds == [14, 2]
+    assert np.array_equal(snapshot_at_strobe(basis, traj, raster, 30.0).samples,
+                          strobe.samples)
+    assert builds == [14, 2, 14]
+    # both equal renders on an equal grid that builds its tables afresh
+    other = _fresh(raster)
     assert np.array_equal(
         strobe.samples,
-        dynamics._render(basis, raster, traj.state_at(strobe.time).real))
+        dynamics._render(basis, other, traj.state_at(strobe.time).real))
     assert np.array_equal(envelope.samples,
-                          np.abs(dynamics._render(basis, raster, traj.steady)))
-    assert calls == [14, 2, 14, 2]
+                          np.abs(dynamics._render(basis, other, traj.steady)))
+    assert builds == [14, 2, 14, 14, 2]
 
 
-def test_shape_table_belongs_to_one_trajectory_and_basis(basis, drive):
+def test_shape_table_belongs_to_one_grid_and_basis(basis, drive, builds):
     traj = respond(basis, drive, duration=4e-3)
-    grid = GRIDS[1]
+    grid = _fresh(GRIDS[1])
     first = field_envelope(basis, traj, grid).values
     scaled = dataclasses.replace(traj, q=2.0 * traj.q, steady=2.0 * traj.steady)
-    assert scaled._shape_tables == {}
-    assert scaled._shape_tables is not traj._shape_tables
     assert np.array_equal(field_envelope(basis, scaled, grid).values,
                           2.0 * first)
+    assert builds == [2]
     # another basis of the same size rendered with this trajectory never
     # reads the table built for the first basis: with every profile
     # sign-flipped, its strobe snapshot is the first basis's, negated
@@ -530,6 +529,51 @@ def test_shape_table_belongs_to_one_trajectory_and_basis(basis, drive):
     assert np.any(snap != 0.0)
     assert np.array_equal(snapshot_at_strobe(flipped, traj, grid, 90.0).values,
                           -snap)
+    assert builds == [2, 2]
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=["raster", "ring"])
+def test_held_table_is_read_only(basis, grid):
+    modes = basis.select(4)
+    grid = _fresh(grid)
+    table = grid.shapes(modes)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        table *= 2.0
+    # the same mode objects, in any sequence, get the held table back
+    assert grid.shapes(tuple(modes)) is table
+
+
+def test_another_live_set_drops_the_held_table_first(basis, monkeypatch):
+    grid = _fresh(GRIDS[0])
+    held = weakref.ref(grid.shapes(basis.select(4)))
+    build = grids.radial_shapes
+    alive = []
+
+    def watched(modes, r):
+        alive.append(held() is not None)
+        return build(modes, r)
+
+    monkeypatch.setattr(grids, "radial_shapes", watched)
+    grid.shapes(basis.select(5))
+    assert alive == [False]
+
+
+def test_mixed_response_leaves_the_table_intact(basis, builds):
+    ext = ExternalMode(frequency=42757.0, damping_ratio=0.02,
+                       shape=lateral_mode_proxy(3.75e-3, 15e-3))
+    drive = DriveConfig(drive_frequency=42124.0, electrode_harmonic=6)
+    ring = RingGrid(radius=15e-3, count=128)
+    mode = dynamics._driven_mode(basis, drive)
+    table = ring.shapes((mode,))
+    before = table.copy()
+    mix = mixed_response(basis, ext, drive, ring)
+    assert ring.shapes((mode,)) is table
+    assert np.array_equal(table, before)
+    assert builds == [1]
+    assert np.max(np.abs(mix.field.samples)) <= 1.0 + 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -598,8 +642,43 @@ def test_only_probe_reads_the_samples(basis, drive, grid):
 def test_snapshot_needs_two_cycles(basis, drive):
     short = respond(basis, drive, duration=1.2 * drive.period)
     ring = RingGrid(radius=15e-3, count=64)
-    with pytest.raises(DomainError, match="two drive cycles"):
+    with pytest.raises(DomainError, match="before the run starts"):
         snapshot_at_strobe(basis, short, ring, 0.0)
+
+
+def test_strobe_window_must_open_inside_the_run(basis, drive):
+    # the strobe centre lies 0.05 T into the run, so a closed window is
+    # inside it and a 0.2 duty window opens 0.4375 x 0.2 T before its centre
+    T = drive.period
+    run = respond(basis, drive, duration=2.5 * T)
+    deg = (0.05 * T - (run.times[-1] - 2.0 * T)) / T * 360.0
+    ring = RingGrid(radius=15e-3, count=64)
+    assert snapshot_at_strobe(basis, run, ring, deg).time > 0.0
+    snapshot_at_strobe(basis, run, ring, deg, duty=0.1)
+    match = (r"the strobe window at -?[0-9.e+-]+ deg opens at -[0-9.e+-]+ s, "
+             r"before the run starts: drive.duration is too short for "
+             r"analysis.strobe_phases_deg and optics.strobe_duty")
+    with pytest.raises(DomainError, match=match):
+        snapshot_at_strobe(basis, run, ring, deg, duty=0.2)
+
+
+def test_state_at_takes_an_array_of_instants(traj):
+    t = np.array([traj.times[0], 1.234e-4, 0.37e-3, 5e-3, traj.times[-1]])
+    states = traj.state_at(t)
+    assert states.shape == (t.size, len(traj.steady))
+    for row, instant in zip(states, t):
+        assert np.array_equal(row, traj.state_at(float(instant)))
+    grid_of = traj.state_at(t[:4].reshape(2, 2))
+    assert grid_of.shape == (2, 2, len(traj.steady))
+    assert np.array_equal(grid_of.reshape(4, -1), states[:4])
+    assert traj.state_at(t[1]).shape == (len(traj.steady),)
+
+
+@pytest.mark.parametrize("t", [[0.0, -1e-9], [1.0], [0.0, np.nan], np.nan,
+                               -np.inf, [1e-3, np.inf]])
+def test_state_at_refuses_any_instant_outside_the_span(traj, t):
+    with pytest.raises(DomainError, match="outside trajectory span"):
+        traj.state_at(t)
 
 
 def test_calibrate_force_per_volt_round_trip(basis, drive):
